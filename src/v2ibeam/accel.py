@@ -47,8 +47,15 @@ def estimate_alpha(
     if not np.any(b):
         raise ValueError("b_acc must be nonzero (needs at least one step)")
     s = np.asarray(c_cov, float) + np.asarray(q_cov, float)
-    if np.linalg.cond(s) > COND_LIMIT:
-        s = s + (np.trace(s) / 3.0) * 1e-12 * np.eye(3)
+    # For a positive-definite 3x3 matrix tr^3/det bounds the condition number
+    # from above, so this regularizes at least whenever cond(s) > COND_LIMIT.
+    (s00, s01, s02), (s10, s11, s12), (s20, s21, s22) = s.tolist()
+    trace = s00 + s11 + s22
+    det = s00 * (s11 * s22 - s12 * s21) - s01 * (s10 * s22 - s12 * s20) + s02 * (
+        s10 * s21 - s11 * s20
+    )
+    if not trace**3 <= COND_LIMIT * det:
+        s = s + (trace / 3.0) * 1e-12 * np.eye(3)
     wb = np.linalg.solve(s, b)
     denom = float(b @ wb)
     alpha_hat = float(wb @ np.asarray(t_res, float)) / denom

@@ -30,6 +30,7 @@ from .harness import (
     summarize,
 )
 from .plotting import svg_line_chart
+from .units import dbm_to_mw
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -128,7 +129,7 @@ def _apply_overrides(scenario, trials, seed, horizon, tracker, combiner, tx_powe
         if len(tx_power) == 1:
             updates["tx_powers_dbm"] = ()
             updates["array"] = dataclasses.replace(
-                scenario.array, tx_power_mw=10.0 ** (tx_power[0] / 10.0)
+                scenario.array, tx_power_mw=dbm_to_mw(tx_power[0])
             )
         else:
             updates["tx_powers_dbm"] = tuple(tx_power)

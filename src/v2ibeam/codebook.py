@@ -12,6 +12,7 @@ between the target magnitude and the equal-gain feasible set.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -325,6 +326,34 @@ def _fit_task(args):
     )
 
 
+_BLAS_SET_THREADS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
+
+
+def single_blas_thread() -> None:
+    """Process-pool initializer: run the loaded OpenBLAS on one thread.
+
+    Each pool worker already takes a core, so BLAS threads on top of it would
+    oversubscribe the machine. The library is located through the process's
+    memory map; where no OpenBLAS is loaded this does nothing.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+
+
 def default_workers() -> int:
     env = os.environ.get("V2I_THREADS")
     if env:
@@ -358,7 +387,7 @@ def build_codebook(
             )
     workers = default_workers() if workers is None else workers
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=single_blas_thread) as pool:
             fitted = list(pool.map(_fit_task, tasks, chunksize=4))
     else:
         fitted = [_fit_task(t) for t in tasks]

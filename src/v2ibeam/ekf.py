@@ -1,8 +1,8 @@
 """Extended Kalman filter for vehicle state tracking over uplink sounding.
 
-One tracking step: linear state prediction, combiner design at the predicted
-state, a real-domain lifted sounding observation, the rank-one channel
-Jacobian, the 3x2 Kalman gain, and the mean/covariance update. The stationary
+One tracking step: linear state prediction, the rank-one channel Jacobian at
+the predicted state, combiner design from it, a real-domain lifted sounding
+observation, the 3x2 Kalman gain, and the mean/covariance update. The stationary
 acceleration is estimated on the side and, once two consecutive estimates
 agree, fed back into the prediction.
 """
@@ -36,9 +36,6 @@ class StateBelief:
 
     mean: np.ndarray  # 3-vector
     cov: np.ndarray  # 3x3 symmetric
-
-    def symmetrized(self) -> "StateBelief":
-        return StateBelief(mean=self.mean, cov=(self.cov + self.cov.T) / 2.0)
 
 
 def init_belief(
@@ -128,11 +125,13 @@ def kalman_gain(
         raise ValueError("rho must be positive")
     zd = z_lift @ d_lift  # 2x3
     cross = q_pred @ zd.T  # 3x2
-    inner = zd @ cross + np.eye(2) / (2.0 * rho)
-    try:
-        return np.linalg.solve(inner.T, cross.T).T
-    except np.linalg.LinAlgError as exc:  # cannot occur for finite rho
-        raise ValueError("degenerate sounding: innovation covariance singular") from exc
+    (a, b), (c, d) = (zd @ cross).tolist()
+    a += 0.5 / rho
+    d += 0.5 / rho
+    det = a * d - b * c
+    if det == 0.0:  # cannot occur for finite rho
+        raise ValueError("degenerate sounding: innovation covariance singular")
+    return cross @ np.array([[d, -b], [-c, a]]) / det
 
 
 def update(
@@ -155,11 +154,12 @@ def update(
     gain = kalman_gain(belief_pred.cov, d_lift, obs.z_lift, rho)
     innovation = obs.r_lift - obs.z_lift @ h_lift
     mean = belief_pred.mean + gain @ innovation
-    i_kzd = np.eye(3) - gain @ (obs.z_lift @ d_lift)
+    kzd = gain @ (obs.z_lift @ d_lift)
     if use_joseph:
+        i_kzd = np.eye(3) - kzd
         cov = i_kzd @ belief_pred.cov @ i_kzd.T + obs.noise_var * gain @ gain.T
     else:
-        cov = i_kzd @ belief_pred.cov
+        cov = belief_pred.cov - kzd @ belief_pred.cov
     return StateBelief(mean=mean, cov=(cov + cov.T) / 2.0)
 
 
@@ -226,20 +226,13 @@ class Tracker:
         self.dictionary = dictionary
 
     def design_combiner(
-        self, belief_pred: StateBelief, beta: complex, rho: float
+        self, belief_pred: StateBelief, d_complex: np.ndarray, rho: float
     ) -> sounding_mod.Combiner:
-        h = self.geometry.rsu_height_m
-        psi_pred = g_of_state(belief_pred.mean, h)
+        """Sounding combiner at the predicted belief; d_complex is the complex
+        channel Jacobian there (see jacobian)."""
+        psi_pred = g_of_state(belief_pred.mean, self.geometry.rsu_height_m)
         if self.combiner_mode == "manifold":
             return sounding_mod.dft_manifold_combiner(psi_pred, self.array.num_antennas)
-        _, d_complex = jacobian(
-            belief_pred.mean,
-            beta,
-            self.array.num_antennas,
-            h,
-            self.model.ts,
-            self.model.steering_angle,
-        )
         comb = sounding_mod.optimal_combiner(
             d_complex, belief_pred.cov, rho, fallback_psi=psi_pred
         )
@@ -269,9 +262,7 @@ class Tracker:
         psi_true = spatial_frequency(truth.x, truth.y, h)
 
         chan = ChannelRealization(beta=beta, psi=psi_true, rho=rho)
-        comb = self.design_combiner(belief_pred, beta, rho)
-        obs = sounding_mod.sound_uplink(rng, comb, chan, self.array.num_antennas)
-        d_lift, _ = jacobian(
+        d_lift, d_complex = jacobian(
             belief_pred.mean,
             beta,
             self.array.num_antennas,
@@ -279,6 +270,8 @@ class Tracker:
             self.model.ts,
             self.model.steering_angle,
         )
+        comb = self.design_combiner(belief_pred, d_complex, rho)
+        obs = sounding_mod.sound_uplink(rng, comb, chan, self.array.num_antennas)
         self.belief = update(
             belief_pred, obs, d_lift, beta, self.array.num_antennas, h
         )
@@ -306,14 +299,3 @@ class Tracker:
             alpha_estimate=estimate,
             combiner_kind=comb.kind,
         )
-
-
-def run_tracker(scenario, rng: np.random.Generator) -> list[TrackStep]:
-    """Track one simulated trajectory through a full scenario horizon.
-
-    The scenario supplies geometry, array, motion model, initial state,
-    fading and horizon; see the harness module for the scenario type.
-    """
-    from .harness import simulate_tracking_trial  # local import: no cycle at module load
-
-    return simulate_tracking_trial(scenario, rng)

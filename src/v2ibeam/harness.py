@@ -26,9 +26,14 @@ from .array_channel import (
     RoadGeometry,
     average_snr,
     channel_vector,
-    spatial_frequency,
 )
-from .codebook import Codebook, build_codebook, default_workers, load_codebook
+from .codebook import (
+    Codebook,
+    build_codebook,
+    default_workers,
+    load_codebook,
+    single_blas_thread,
+)
 from .ekf import StateBelief, Tracker, TrackStep, init_belief, predict
 from .motion import MotionModel, StateVector, step_truth
 from .units import carrier_to_wavelength, dbm_to_mw, kmh_to_ms
@@ -224,11 +229,6 @@ def simulate_tracking_trial(
     return steps
 
 
-def _dft_bin(psi: float, num_antennas: int) -> int:
-    step = 2.0 * math.pi / num_antennas
-    return int(round((psi + math.pi) / step)) % num_antennas
-
-
 def _assign_beams(
     scenario: Scenario,
     steps: list[TrackStep],
@@ -263,12 +263,14 @@ def _assign_beams(
             q_hat = int(rng.integers(0, book.size)) + 1
             choice = (q_hat, book.codewords[q_hat - 1].u)
         else:
-            c1, c2 = selector_mod.dft_scheme_baselines(
-                belief, scenario.motion, scenario.omega, num_antennas, h, alpha_hat
+            psi_mid, psi_now = selector_mod.dft_scheme_directions(
+                belief, scenario.motion, scenario.omega, h, alpha_hat
             )
-            vec = c1 if scheme == "dft1" else c2
-            psi_hat = spatial_frequency(float(belief.mean[0]), float(belief.mean[1]), h)
-            choice = (_dft_bin(psi_hat, num_antennas) + 1, vec)
+            psi = psi_mid if scheme == "dft1" else psi_now
+            choice = (
+                selector_mod.dft_bin(psi, num_antennas) + 1,
+                selector_mod.dft_codeword(psi, num_antennas),
+            )
         for idx in span:
             assignments[idx] = choice
     return assignments
@@ -373,6 +375,7 @@ _WORKER_STATE: dict = {}
 
 
 def _init_worker(scenario: Scenario, array: ArrayConfig, book: Codebook | None):
+    single_blas_thread()
     _WORKER_STATE["args"] = (scenario, array, book)
 
 

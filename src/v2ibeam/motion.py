@@ -7,6 +7,7 @@ phi_s the state evolves as t' = A t + b alpha + omega, where alpha is the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,12 +54,14 @@ class LongTermTransition:
     c_cov: np.ndarray  # 3x3
 
 
+@functools.lru_cache(maxsize=64)
 def transition_matrices(model: MotionModel):
     """Return (A, b, Q_alpha, Q_omega) for one step.
 
     A is unit-diagonal upper triangular with A[0,2] = T_s cos(phi_s) and
     A[1,2] = T_s sin(phi_s); b = [T_s^2 cos(phi_s)/2, T_s^2 sin(phi_s)/2, T_s];
-    Q_alpha = sigma_alpha^2 b b^T; Q_omega is diagonal.
+    Q_alpha = sigma_alpha^2 b b^T; Q_omega is diagonal. The arrays are cached
+    per (frozen) model and shared by every caller, so they are read-only.
     """
     ts = model.ts
     c, s = math.cos(model.steering_angle), math.sin(model.steering_angle)
@@ -72,6 +75,8 @@ def transition_matrices(model: MotionModel):
             model.sigma_omega**2,
         ]
     )
+    for arr in (a, b, q_alpha, q_omega):
+        arr.setflags(write=False)
     return a, b, q_alpha, q_omega
 
 

@@ -126,16 +126,21 @@ def dft_codeword(psi: float, num_antennas: int) -> np.ndarray:
     return array_response(num_antennas, psi_q) / math.sqrt(num_antennas)
 
 
-def dft_scheme_baselines(
+def dft_bin(psi: float, num_antennas: int) -> int:
+    """0-based index of the M-point DFT frequency dft_codeword steers at for psi."""
+    step = 2.0 * math.pi / num_antennas
+    return int(round((psi + math.pi) / step)) % num_antennas
+
+
+def dft_scheme_directions(
     belief: StateBelief,
     model: MotionModel,
     omega: int,
-    num_antennas: int,
     h: float,
     alpha_hat: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """DFT-grid beamformers: scheme 1 points at the midpoint prediction
-    A^{Omega/2} t_hat, scheme 2 at the current estimate t_hat."""
+) -> tuple[float, float]:
+    """Beam directions of the DFT schemes: scheme 1 the midpoint prediction
+    A^{Omega/2} t_hat, scheme 2 the current estimate t_hat."""
     if omega > 0 and omega % 2:
         raise ValueError("scheme 1 needs an even omega")
     psi_now = spatial_frequency(float(belief.mean[0]), float(belief.mean[1]), h)
@@ -144,4 +149,17 @@ def dft_scheme_baselines(
     else:
         mid_state = extrapolate(belief, model, alpha_hat, omega // 2)[-1][0]
     psi_mid = spatial_frequency(float(mid_state[0]), float(mid_state[1]), h)
+    return psi_mid, psi_now
+
+
+def dft_scheme_baselines(
+    belief: StateBelief,
+    model: MotionModel,
+    omega: int,
+    num_antennas: int,
+    h: float,
+    alpha_hat: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """DFT-grid beamformers of schemes 1 and 2 (see dft_scheme_directions)."""
+    psi_mid, psi_now = dft_scheme_directions(belief, model, omega, h, alpha_hat)
     return dft_codeword(psi_mid, num_antennas), dft_codeword(psi_now, num_antennas)

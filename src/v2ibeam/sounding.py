@@ -14,14 +14,12 @@ via orthogonal matching pursuit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .array_channel import ChannelRealization, array_response
 
-POWER_ITERS = 200
-POWER_TOL = 1e-10
 DEGENERATE_NORM = 1e-30
 
 
@@ -59,6 +57,11 @@ class SteeringDictionary:
     atoms: np.ndarray  # M x (oversampling * M)
     grid: np.ndarray
     oversampling: int = 4
+    atoms_h: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # conjugate transpose kept once for the OMP correlation step
+        object.__setattr__(self, "atoms_h", self.atoms.conj().T)
 
     @staticmethod
     def build(num_antennas: int, oversampling: int = 4) -> "SteeringDictionary":
@@ -103,50 +106,29 @@ def optimal_combiner(
 ) -> Combiner:
     """Principal eigenvector of (D Q D^H + I/rho)^{-1} (D Q^2 D^H), unit norm.
 
-    D has three columns, so the denominator is a rank-<=3 update of I/rho and
-    its inverse is applied through a 3x3 solve rather than an explicit M x M
-    inversion (identical result, linear cost in M). On a degenerate objective
-    (D Q^2 D^H numerically zero) falls back to the array-manifold combiner at
-    fallback_psi when given.
+    The channel Jacobian is rank one, D = h_dot grad^T (see ekf.jacobian), so
+    D Q^2 D^H = c h_dot h_dot^H with c = grad^T Q^2 grad >= 0, and the
+    eigenvector (D Q D^H + I/rho)^{-1} h_dot is itself proportional to h_dot
+    by the matrix inversion lemma. The optimum is therefore h_dot/||h_dot||
+    for every Q and rho; it is taken from the first column of D, whose factor
+    dg/dx = pi k^2 / r^3 is positive. On a degenerate objective
+    (tr(D Q^2 D^H) numerically zero) falls back to the array-manifold combiner
+    at fallback_psi when given.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     m = d.shape[0]
     q = np.asarray(q_pred, float)
-    q2 = q @ q
-    gram = d.conj().T @ d  # 3x3
-    scale = float(np.real(np.trace(q2 @ gram)))  # tr(D Q^2 D^H)
-    if not scale > DEGENERATE_NORM:
+    dq = d @ q
+    scale = float(np.vdot(dq, dq).real)  # tr(D Q^2 D^H) for symmetric Q
+    v = d[:, 0]
+    norm = np.linalg.norm(v)
+    if not (scale > DEGENERATE_NORM and norm > 0):
         if fallback_psi is None:
             raise ValueError("degenerate combiner objective and no fallback direction")
         z = array_response(m, fallback_psi) / math.sqrt(m)
         return Combiner(z=z, kind="optimal", fallback=True)
-    # (D Q D^H + I/rho)^{-1} b = rho (b - D g), (I + rho Q D^H D) g = rho Q D^H b
-    core = np.eye(3) + rho * q @ gram
-    v = d[:, 0].astype(complex)
-    if np.linalg.norm(v) == 0:
-        v = np.ones(m, dtype=complex)
-    v = v / np.linalg.norm(v)
-    for _ in range(POWER_ITERS):
-        b = d @ (q2 @ (d.conj().T @ v))  # S_num v
-        g = np.linalg.solve(core, rho * (q @ (d.conj().T @ b)))
-        w = rho * (b - d @ g)
-        nw = np.linalg.norm(w)
-        if nw <= DEGENERATE_NORM:
-            if fallback_psi is None:
-                raise ValueError("power iteration collapsed")
-            z = array_response(m, fallback_psi) / math.sqrt(m)
-            return Combiner(z=z, kind="optimal", fallback=True)
-        w = w / nw
-        # Align phase so convergence can be measured by vector difference.
-        phase = np.vdot(v, w)
-        if abs(phase) > 0:
-            w = w * (phase.conjugate() / abs(phase))
-        if np.linalg.norm(w - v) < POWER_TOL:
-            v = w
-            break
-        v = w
-    return Combiner(z=v / np.linalg.norm(v), kind="optimal")
+    return Combiner(z=v / norm, kind="optimal")
 
 
 def hybrid_approximation(
@@ -163,12 +145,12 @@ def hybrid_approximation(
         raise ValueError("num_rf_chains must be >= 1")
     if num_rf_chains > m:
         raise ValueError("num_rf_chains cannot exceed the antenna count")
-    atoms = dictionary.atoms
+    atoms, atoms_h = dictionary.atoms, dictionary.atoms_h
     chosen: list[int] = []
     residual = target.astype(complex)
     weights = np.zeros(0, dtype=complex)
     for _ in range(num_rf_chains):
-        corr = np.abs(atoms.conj().T @ residual)
+        corr = np.abs(atoms_h @ residual)
         corr[chosen] = -1.0
         chosen.append(int(np.argmax(corr)))
         basis = atoms[:, chosen]

@@ -3,32 +3,12 @@
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    import math
-
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
 
 
-def mw_to_dbm(mw: float) -> float:
-    import math
-
-    return 10.0 * math.log10(mw)
-
-
 def kmh_to_ms(kmh: float) -> float:
     return kmh * 1000.0 / 3600.0
-
-
-def ms_to_kmh(ms: float) -> float:
-    return ms * 3600.0 / 1000.0
 
 
 def carrier_to_wavelength(fc_hz: float) -> float:

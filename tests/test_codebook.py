@@ -1,7 +1,12 @@
 import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from v2ibeam.array_channel import RoadGeometry
 from v2ibeam.codebook import (
@@ -175,8 +180,8 @@ def test_target_pattern_mass_and_support():
     regions = divide_regions(GEOM, 8.5, 64)
     grid = psi_grid()
     for r in (regions[0], regions[20], regions[32], regions[-1]):
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", category=RuntimeWarning)
             g = position_pdf_to_bp(r, 8.5, 7.5, 64)
         mass = integrate_bp(g)
         assert mass == pytest.approx(2 * math.pi / 64, rel=1e-3)
@@ -202,8 +207,8 @@ def test_target_pattern_peak_grows_toward_edge_and_warns():
     regions = divide_regions(GEOM, 8.5, 64)
     positive = [r for r in regions if r.nu_lb >= 0.0]
     peaks = []
-    with np.testing.suppress_warnings() as sup:
-        sup.filter(RuntimeWarning)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", category=RuntimeWarning)
         for r in positive:
             peaks.append(position_pdf_to_bp(r, 8.5, 7.5, 64).max())
     assert peaks[-1] > peaks[0]
@@ -230,8 +235,8 @@ def test_fit_beats_best_single_steering_column():
     rng = np.random.default_rng(1)
     dft_bp = np.abs(ctx.steering.conj().T @ dft.atoms) ** 2 / m
     for r in (regions[8], regions[12], regions[-1]):
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(RuntimeWarning)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", category=RuntimeWarning)
             g = position_pdf_to_bp(r, 8.5, 7.5, m)
         word = fit_codeword(g, m, 4, d, rng, region=r)
         best_dft = float(
@@ -244,8 +249,8 @@ def test_fit_codeword_invariants():
     m = 16
     d = SteeringDictionary.build(m)
     regions = divide_regions(GEOM, 8.5, 16)
-    with np.testing.suppress_warnings() as sup:
-        sup.filter(RuntimeWarning)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", category=RuntimeWarning)
         g = position_pdf_to_bp(regions[9], 8.5, 7.5, m)
     word = fit_codeword(g, m, 4, d, np.random.default_rng(2), region=regions[9])
     assert np.linalg.norm(word.u) == pytest.approx(1.0, abs=1e-9)
@@ -299,8 +304,20 @@ def test_build_codebook_deterministic():
         assert np.all(a.u == b.u)
 
 
-def test_parallel_build_matches_serial():
-    b1 = build_codebook(GEOM, 8.5, 16, 4, 8, seed=5, workers=1)
-    b2 = build_codebook(GEOM, 8.5, 16, 4, 8, seed=5, workers=2)
-    for a, b in zip(b1.codewords, b2.codewords):
-        assert np.all(a.u == b.u)
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(
+    m=st.integers(4, 24),
+    q=st.sampled_from([2, 4, 8]),
+    seed=st.integers(0, 2**16),
+)
+@example(m=16, q=8, seed=5)
+def test_parallel_build_matches_serial(m, q, seed):
+    saved = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for workers in (1, 2):
+            book = build_codebook(GEOM, 8.5, m, min(4, m), q, seed=seed, workers=workers)
+            path = os.path.join(tmp, f"book{workers}.json")
+            save_codebook(book, path)
+            with open(path, "rb") as fh:
+                saved.append(fh.read())
+    assert saved[0] == saved[1]

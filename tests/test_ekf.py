@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2ibeam.array_channel import ArrayConfig, ChannelRealization, RoadGeometry, array_response
 from v2ibeam.ekf import (
@@ -21,6 +23,7 @@ from v2ibeam.sounding import (
     dft_manifold_combiner,
     lift_channel,
     lift_combiner,
+    optimal_combiner,
     sound_uplink,
 )
 from v2ibeam.units import carrier_to_wavelength, dbm_to_mw
@@ -335,3 +338,27 @@ def test_tracker_covariance_stays_psd():
 def test_tracker_rejects_unknown_mode():
     with pytest.raises(ValueError):
         _tracker(combiner_mode="beamhopper")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    m=st.integers(2, 64),
+    rho=st.floats(1e-2, 1e4),
+    log_scale=st.floats(-6.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_update_covariance_symmetric_psd_property(m, rho, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    h = 7.5
+    state = np.array([rng.uniform(-70, 70), rng.uniform(2, 15), rng.uniform(5, 30)])
+    base = rng.standard_normal((3, 3))
+    cov = 10**log_scale * (base @ base.T + 1e-6 * np.eye(3))
+    belief = StateBelief(mean=state, cov=cov)
+    beta = complex(rng.standard_normal(), rng.standard_normal())
+    d_lift, d = jacobian(state, beta, m, h, 0.01, 0.1)
+    comb = optimal_combiner(d, cov, rho)
+    psi = g_of_state(state, h) + rng.normal(0.0, 0.05)
+    obs = sound_uplink(rng, comb, ChannelRealization(beta, psi, rho), m)
+    post = update(belief, obs, d_lift, beta, m, h).cov
+    assert np.array_equal(post, post.T)
+    assert np.linalg.eigvalsh(post).min() >= -1e-12 * np.linalg.norm(cov, 2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from v2ibeam import harness
+from v2ibeam.array_channel import array_response, spatial_frequency
 from v2ibeam.codebook import build_codebook
 from v2ibeam.harness import (
     TrialRecord,
@@ -254,3 +255,16 @@ def test_beam_none_leaves_gain_columns_empty():
     assert all(r.gain_norm is None for r in records)
     text = records_to_csv(records)
     assert text.splitlines()[1].endswith(",,,")
+
+
+def test_dft1_beam_index_names_the_steered_beam():
+    # scheme 1 steers at the midpoint prediction, so the reported DFT bin must
+    # reproduce the logged gain; the bin of the current estimate would not
+    s = dataclasses.replace(bundled_scenario("gain_m64_dft1"), trials=2)
+    m, h = s.array.num_antennas, s.geometry.rsu_height_m
+    records = run_experiment(s, workers=1)[0].records
+    for rec in records:
+        psi_q = -math.pi + (rec.beam_index - 1) * 2.0 * math.pi / m
+        c = array_response(m, psi_q) / math.sqrt(m)
+        d = array_response(m, spatial_frequency(rec.x_true, rec.y_true, h))
+        assert abs(np.vdot(d, c)) ** 2 / m == pytest.approx(rec.gain_norm, rel=1e-9, abs=1e-12)

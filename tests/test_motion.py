@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2ibeam.motion import (
     LongTermAccumulator,
@@ -19,6 +21,24 @@ def test_transition_straight_road():
     a, b, _, _ = transition_matrices(MotionModel(ts=0.5))
     assert a[1, 2] == 0.0
     np.testing.assert_allclose(b, [0.5**2 / 2, 0.0, 0.5])
+
+
+@settings(max_examples=25, derandomize=True)
+@given(
+    ts=st.floats(1e-4, 1.0),
+    steering=st.floats(-math.pi / 2, math.pi / 2),
+    sigma_alpha=st.floats(0.0, 10.0),
+    sigma_omega=st.floats(0.0, 1.0),
+)
+def test_transition_matrices_read_only(ts, steering, sigma_alpha, sigma_omega):
+    model = MotionModel(ts, steering, sigma_alpha, sigma_omega)
+    first = transition_matrices(model)
+    for arr in first:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[..., 0] = 1.0
+    again = transition_matrices(MotionModel(ts, steering, sigma_alpha, sigma_omega))
+    assert all(np.array_equal(x, y) for x, y in zip(first, again))
 
 
 def test_transition_reference_entry():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2ibeam.array_channel import ChannelRealization, array_response
 from v2ibeam.ekf import jacobian
@@ -233,3 +235,27 @@ def test_optimal_combiner_rejects_bad_rho():
     d, q, _ = random_problem(rng)
     with pytest.raises(ValueError):
         optimal_combiner(d, q, 0.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.integers(2, 128),
+    rho=st.floats(1e-2, 1e4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_optimal_combiner_matches_dense_eigenvector(m, rho, seed):
+    rng = np.random.default_rng(seed)
+    d, q, _ = random_problem(rng, m)
+    z = optimal_combiner(d, q, rho).z
+    dq = d @ q
+    s_num = dq @ q @ d.conj().T
+    s_den = dq @ d.conj().T + np.eye(m) / rho
+    # principal eigenvector of S_den^{-1} S_num through the Cholesky-whitened
+    # Hermitian problem L^{-1} S_num L^{-H} y = lam y, x = L^{-H} y, which stays
+    # accurate when S_den is ill-conditioned (large rho)
+    low = np.linalg.cholesky(s_den)
+    white = np.linalg.solve(low, np.linalg.solve(low, s_num).conj().T)
+    _, vecs = np.linalg.eigh(white)
+    oracle = np.linalg.solve(low.conj().T, vecs[:, -1])
+    oracle /= np.linalg.norm(oracle)
+    assert abs(np.vdot(z, oracle)) >= 1 - 1e-9
