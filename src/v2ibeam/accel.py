@@ -20,8 +20,6 @@ COND_LIMIT = 1e12
 class AccelEstimate:
     alpha_hat: float
     crlb: float
-    accepted: bool
-    step: int
 
 
 def residual_state(t_hat: np.ndarray, t0: np.ndarray, a: np.ndarray, steps: int) -> np.ndarray:
@@ -36,7 +34,6 @@ def estimate_alpha(
     b_acc: np.ndarray,
     c_cov: np.ndarray,
     q_cov: np.ndarray,
-    step: int = 0,
 ) -> AccelEstimate:
     """MVU estimate alpha_hat = b^T W t_res / (b^T W b) with W = (C+Q)^{-1}.
 
@@ -59,7 +56,7 @@ def estimate_alpha(
     wb = np.linalg.solve(s, b)
     denom = float(b @ wb)
     alpha_hat = float(wb @ np.asarray(t_res, float)) / denom
-    return AccelEstimate(alpha_hat=alpha_hat, crlb=1.0 / denom, accepted=False, step=step)
+    return AccelEstimate(alpha_hat=alpha_hat, crlb=1.0 / denom)
 
 
 def gate_alpha(

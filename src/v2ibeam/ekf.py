@@ -10,7 +10,7 @@ agree, fed back into the prediction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,11 +171,7 @@ class TrackStep:
     truth: StateVector
     belief: StateBelief
     beta: complex
-    psi_true: float
-    rho: float
     alpha_applied: float | None
-    alpha_estimate: accel_mod.AccelEstimate | None
-    combiner_kind: str
 
 
 class Tracker:
@@ -276,26 +272,17 @@ class Tracker:
             belief_pred, obs, d_lift, beta, self.array.num_antennas, h
         )
 
-        estimate = None
         if self.estimate_accel and self.step_index >= self.accel_min_step:
-            t_res = self.belief.mean - self.long_term.a_power @ self.t0_anchor
-            estimate = accel_mod.estimate_alpha(
-                t_res, lt.b_acc, lt.c_cov, self.belief.cov, step=self.step_index
-            )
-            accepted = accel_mod.gate_alpha(self.last_estimate, estimate, self.alpha_thres)
-            estimate = replace(estimate, accepted=accepted)
-            self.last_estimate = estimate
-            if accepted:
+            t_res = self.belief.mean - lt.a_pow @ self.t0_anchor
+            estimate = accel_mod.estimate_alpha(t_res, lt.b_acc, lt.c_cov, self.belief.cov)
+            if accel_mod.gate_alpha(self.last_estimate, estimate, self.alpha_thres):
                 self.alpha_applied = estimate.alpha_hat
+            self.last_estimate = estimate
 
         return TrackStep(
             step=self.step_index,
             truth=truth,
             belief=self.belief,
             beta=beta,
-            psi_true=psi_true,
-            rho=rho,
             alpha_applied=self.alpha_applied,
-            alpha_estimate=estimate,
-            combiner_kind=comb.kind,
         )

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -26,6 +27,7 @@ from .array_channel import (
     RoadGeometry,
     average_snr,
     channel_vector,
+    spatial_frequency,
 )
 from .codebook import (
     Codebook,
@@ -88,6 +90,14 @@ class Scenario:
             raise ValueError(f"unknown beam scheme {self.beam_scheme!r}")
         if self.combiner_mode not in ("optimal", "hybrid"):
             raise ValueError(f"unknown combiner_mode {self.combiner_mode!r}")
+        if self.coherence_steps is not None and (
+            isinstance(self.coherence_steps, bool)
+            or not isinstance(self.coherence_steps, numbers.Integral)
+            or self.coherence_steps < 1
+        ):
+            raise ValueError(
+                f"coherence_steps must be a positive integer, got {self.coherence_steps!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -151,11 +161,7 @@ class FeedbackTracker:
             truth=truth,
             belief=self.belief,
             beta=beta,
-            psi_true=math.nan,
-            rho=math.nan,
             alpha_applied=None,
-            alpha_estimate=None,
-            combiner_kind="feedback",
         )
 
 
@@ -300,7 +306,8 @@ def run_trial(
         beam_index = None
         if beam is not None:
             beam_index, c_vec = beam
-            hvec = channel_vector(st.beta, st.psi_true, array.num_antennas)
+            psi_true = spatial_frequency(st.truth.x, st.truth.y, h)
+            hvec = channel_vector(st.beta, psi_true, array.num_antennas)
             power = abs(np.vdot(hvec, c_vec)) ** 2
             norm2 = float(np.real(np.vdot(hvec, hvec)))
             gain = power / norm2 if norm2 > 0 else 0.0
@@ -490,8 +497,38 @@ def summaries_to_csv(summaries: list[MetricSummary]) -> str:
 # everything becomes SI / linear at load time.
 # ---------------------------------------------------------------------------
 
+# Every key a scenario document may use, per section (None: the top level).
+SCENARIO_KEYS = {
+    None: {"name", "seed", "trials", "horizon", "omega", "sigma_eps", "noise_free",
+           "geometry", "array", "motion", "initial_state", "fading", "tracking", "beam"},
+    "geometry": {"rsu_height_m", "lane_offset_m", "range_m"},
+    "array": {"num_antennas", "num_rf_chains", "carrier_ghz", "bandwidth_mhz",
+              "pathloss_exponent", "noise_power_dbm", "tx_power_dbm"},
+    "motion": {"ts_ms", "steering_angle_rad", "sigma_alpha", "sigma_omega",
+               "coherence_steps"},
+    "initial_state": {"x_m", "y_m", "speed_kmh"},
+    "fading": {"k_factor_db", "block_length"},
+    "tracking": {"tracker", "combiner_mode", "feedback_period", "accel_min_step",
+                 "alpha_thres"},
+    "beam": {"scheme", "codebook_path", "codewords"},
+}
+
+
+def _check_keys(doc: dict) -> None:
+    """Reject keys a scenario document does not define, so a misspelt key
+    fails instead of silently falling back to its default."""
+    for section, allowed in SCENARIO_KEYS.items():
+        part = doc if section is None else doc.get(section, {})
+        where = "top level" if section is None else f"section {section!r}"
+        if not isinstance(part, dict):
+            raise ValueError(f"scenario {where} must be an object")
+        unknown = sorted(set(part) - allowed)
+        if unknown:
+            raise ValueError(f"unknown scenario keys at {where}: {', '.join(unknown)}")
+
 
 def scenario_from_dict(doc: dict, name: str | None = None) -> Scenario:
+    _check_keys(doc)
     geo = doc["geometry"]
     rng_lb, rng_ub = geo.get("range_m", (-75.0, 75.0))
     geometry = RoadGeometry(

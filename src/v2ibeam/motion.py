@@ -48,8 +48,9 @@ class MotionModel:
 
 @dataclass(frozen=True)
 class LongTermTransition:
-    """Accumulated acceleration vector and process-noise covariance after l steps."""
+    """Transition algebra from step 0 to step l: t_l = A^l t_0 + b_acc alpha + noise."""
 
+    a_pow: np.ndarray  # 3x3, A^l
     b_acc: np.ndarray  # 3-vector
     c_cov: np.ndarray  # 3x3
 
@@ -90,53 +91,49 @@ def step_truth(
 
 
 def long_term(model: MotionModel, steps: int) -> LongTermTransition:
-    """Transition algebra from step 0 to step `steps`.
+    """Transition algebra from step 0 to step l = `steps`, in closed form.
 
-    b_acc = sum_{tau=1..l} A^{tau-1} b, which collapses to
-    [(l T_s)^2 cos(phi_s)/2, (l T_s)^2 sin(phi_s)/2, l T_s];
-    c_cov = sum_{tau=1..l} A^{tau-1} Q_omega (A^{tau-1})^T.
+    N = A - I = p e3^T with p = T_s [cos(phi_s), sin(phi_s), 0]^T satisfies
+    N^2 = 0, so A^tau = I + tau N and, with S1 = sum tau = l(l-1)/2 and
+    S2 = sum tau^2 = (l-1)l(2l-1)/6 over tau = 0..l-1,
+    b_acc = sum A^tau b = [(l T_s)^2 cos(phi_s)/2, (l T_s)^2 sin(phi_s)/2, l T_s];
+    c_cov = sum A^tau Q_omega (A^tau)^T
+          = l Q_omega + sigma_omega^2 (S1 (p e3^T + e3 p^T) + S2 p p^T).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    a, _, _, q_omega = transition_matrices(model)
-    lt = steps * model.ts
     c, s = math.cos(model.steering_angle), math.sin(model.steering_angle)
-    b_acc = np.array([lt * lt * c / 2.0, lt * lt * s / 2.0, lt])
-    c_cov = np.zeros((3, 3))
-    a_pow = np.eye(3)
-    for _ in range(steps):
-        c_cov += a_pow @ q_omega @ a_pow.T
-        a_pow = a_pow @ a
-    return LongTermTransition(b_acc=b_acc, c_cov=c_cov)
+    px, py = model.ts * c, model.ts * s
+    var = model.sigma_omega**2
+    s1 = steps * (steps - 1) / 2.0
+    s2 = (steps - 1) * steps * (2 * steps - 1) / 6.0
+    pos = var * (steps + s2)  # Q_omega[0,0] = var px^2, Q_omega[1,1] = var py^2
+    cross = var * s1
+    lt = steps * model.ts
+    return LongTermTransition(
+        a_pow=np.array([[1.0, 0.0, steps * px], [0.0, 1.0, steps * py], [0.0, 0.0, 1.0]]),
+        b_acc=np.array([lt * lt * c / 2.0, lt * lt * s / 2.0, lt]),
+        c_cov=np.array(
+            [
+                [pos * px * px, var * s2 * px * py, cross * px],
+                [var * s2 * px * py, pos * py * py, cross * py],
+                [cross * px, cross * py, steps * var],
+            ]
+        ),
+    )
 
 
 class LongTermAccumulator:
-    """Incremental long_term() for a tracking loop: O(1) work per step."""
+    """Step counter for a tracking loop: each advance() returns long_term()
+    for one more step."""
 
     def __init__(self, model: MotionModel):
-        self._a, self._b, _, self._q_omega = transition_matrices(model)
         self._model = model
-        self._a_pow = np.eye(3)  # A^l
-        self._c_cov = np.zeros((3, 3))
         self._steps = 0
 
-    @property
-    def steps(self) -> int:
-        return self._steps
-
-    @property
-    def a_power(self) -> np.ndarray:
-        return self._a_pow
-
     def advance(self) -> LongTermTransition:
-        self._c_cov = self._c_cov + self._a_pow @ self._q_omega @ self._a_pow.T
-        self._a_pow = self._a_pow @ self._a
         self._steps += 1
-        lt = self._steps * self._model.ts
-        c = math.cos(self._model.steering_angle)
-        s = math.sin(self._model.steering_angle)
-        b_acc = np.array([lt * lt * c / 2.0, lt * lt * s / 2.0, lt])
-        return LongTermTransition(b_acc=b_acc, c_cov=self._c_cov.copy())
+        return long_term(self._model, self._steps)
 
 
 def simulate_trajectory(

@@ -16,8 +16,8 @@ import numpy as np
 
 from .array_channel import array_response, spatial_frequency
 from .codebook import Codebook, Codeword, psi_grid
-from .ekf import StateBelief
-from .motion import MotionModel, transition_matrices
+from .ekf import StateBelief, predict
+from .motion import MotionModel
 
 
 @dataclass(frozen=True)
@@ -39,31 +39,14 @@ def extrapolate(
     alpha_hat: float | None,
     omega: int,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Predict (mean, covariance) for each of the next omega steps.
-
-    Equivalent to omega repeated measurement-free predictions: with an
-    accepted acceleration the mean gains the accumulated b term and the
-    acceleration covariance is dropped.
-    """
+    """Predict (mean, covariance) for each of the next omega steps by omega
+    repeated measurement-free predictions (see ekf.predict)."""
     if omega < 1:
         raise ValueError("omega must be >= 1")
-    a, b, q_alpha, q_omega = transition_matrices(model)
-    added = q_omega if alpha_hat is not None else q_alpha + q_omega
     out = []
-    mean = belief.mean.copy()
-    cov = belief.cov.copy()
-    b_acc = np.zeros(3)
-    a_pow_b = b.copy()
     for _ in range(omega):
-        mean = a @ mean
-        cov = a @ cov @ a.T + added
-        cov = (cov + cov.T) / 2.0
-        if alpha_hat is not None:
-            b_acc = b_acc + a_pow_b  # running sum_{tau} A^{tau-1} b
-            a_pow_b = a @ a_pow_b
-            out.append((mean + b_acc * alpha_hat, cov.copy()))
-        else:
-            out.append((mean.copy(), cov.copy()))
+        belief = predict(belief, model, alpha_hat)
+        out.append((belief.mean, belief.cov))
     return out
 
 

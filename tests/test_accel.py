@@ -104,7 +104,7 @@ def test_residual_rejects_zero_steps():
 
 
 def _est(val):
-    return AccelEstimate(alpha_hat=val, crlb=1.0, accepted=False, step=1)
+    return AccelEstimate(alpha_hat=val, crlb=1.0)
 
 
 def test_gate_first_estimate_rejected():

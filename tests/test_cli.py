@@ -136,6 +136,24 @@ def test_simulate_unknown_scenario_exits_2(runner, tmp_path):
     assert "bundled" in err["message"]
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("tracking", "combiner_mod", "hybrid"),
+    (None, "horizonn", 40),
+    ("motion", "coherence_steps", 0),
+    ("motion", "coherence_steps", 2.5),
+])
+def test_simulate_malformed_scenario_exits_2(runner, tmp_path, section, key, value):
+    doc = json.loads(json.dumps(TINY_SCENARIO))
+    (doc if section is None else doc[section])[key] = value
+    r = runner.invoke(main, ["simulate", write_scenario(tmp_path, doc), "--workers", "1",
+                             "--out-dir", str(tmp_path / "out")], prog_name="v2ibeam")
+    assert r.exit_code == 2
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert err["error"] == "validation"
+    assert key in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_single_trial_bundled_run_is_fast(runner, tmp_path):
     import time
 

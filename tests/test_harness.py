@@ -63,6 +63,46 @@ def test_scenario_validation():
         small_scenario(beam_scheme="mystery")
 
 
+def _doc_with(section, key, value):
+    doc = json.loads(json.dumps(SMALL_DOC))
+    (doc if section is None else doc.setdefault(section, {}))[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("section,key", [
+    (None, "horizonn"),
+    ("geometry", "rsu_heigth_m"),
+    ("array", "num_antenna"),
+    ("motion", "coherence_step"),
+    ("initial_state", "speed_kph"),
+    ("fading", "k_factor"),
+    ("tracking", "combiner_mod"),
+    ("beam", "schem"),
+])
+def test_scenario_rejects_unknown_keys(section, key):
+    with pytest.raises(ValueError, match=key):
+        scenario_from_dict(_doc_with(section, key, 1))
+
+
+def test_scenario_rejects_non_object_section():
+    with pytest.raises(ValueError, match="tracking"):
+        scenario_from_dict(dict(SMALL_DOC, tracking=["proposed"]))
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5, True, "5"])
+def test_scenario_rejects_bad_coherence_steps(value):
+    with pytest.raises(ValueError, match="coherence_steps"):
+        scenario_from_dict(_doc_with("motion", "coherence_steps", value))
+    with pytest.raises(ValueError, match="coherence_steps"):
+        small_scenario(coherence_steps=value)
+
+
+@pytest.mark.parametrize("value", [None, 1, 7])
+def test_scenario_accepts_coherence_steps(value):
+    s = scenario_from_dict(_doc_with("motion", "coherence_steps", value))
+    assert s.coherence_steps == value
+
+
 def test_bundled_scenarios_load():
     for name in harness.bundled_scenario_names():
         s = bundled_scenario(name)
@@ -89,6 +129,23 @@ def test_gain_bounds_and_rate():
         assert rec.gain_norm is not None
         assert 0.0 <= rec.gain_norm <= 1.0 + 1e-6
         assert rec.rate_bps_hz >= 0.0
+
+
+def test_feedback_baseline_beam_metrics_use_true_direction():
+    # the feedback baseline logs no direction of its own, so the downlink
+    # gain must come from the true state like for every other tracker
+    s = small_scenario(tracker="feedback", trials=1)
+    h = s.geometry.rsu_height_m
+    for rec in run_trial(s, 0):
+        psi = spatial_frequency(rec.x_true, rec.y_true, h)
+        beam = -math.pi + (rec.beam_index - 1) * 2 * math.pi / 8
+        c = array_response(8, beam) / math.sqrt(8)
+        expected = abs(np.vdot(array_response(8, psi), c)) ** 2 / 8
+        assert rec.gain_norm == pytest.approx(expected, rel=1e-9)
+        assert math.isfinite(rec.rate_bps_hz) and rec.rate_bps_hz > 0.0
+    summary = run_experiment(s, workers=1)[0].summary
+    assert summary.mean_gain > 0.5
+    assert math.isfinite(summary.mean_rate)
 
 
 def test_gain_formula_matched_beamformer():

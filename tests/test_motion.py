@@ -134,6 +134,33 @@ def test_long_term_closed_form_large_step_count():
     np.testing.assert_allclose(lt.b_acc, b_sum, rtol=1e-12)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    ts=st.floats(1e-4, 1.0),
+    steering=st.floats(-math.pi / 2, math.pi / 2),
+    sigma_omega=st.floats(1e-3, 1.0),
+    steps=st.integers(1, 3000),
+)
+def test_long_term_matches_brute_force_sums(ts, steering, sigma_omega, steps):
+    model = MotionModel(ts, steering, 0.0, sigma_omega)
+    a, b, _, q_omega = transition_matrices(model)
+    b_sum = np.zeros(3)
+    c_sum = np.zeros((3, 3))
+    a_pow = np.eye(3)  # A^tau by repeated multiplication
+    for _ in range(steps):
+        b_sum += a_pow @ b
+        c_sum += a_pow @ q_omega @ a_pow.T
+        a_pow = a_pow @ a
+    lt = long_term(model, steps)
+    # absolute floor: the entries that vanish at phi = 0 underflow near it
+    floor = 1e-300
+    np.testing.assert_allclose(lt.b_acc, b_sum, rtol=1e-12, atol=floor)
+    np.testing.assert_allclose(lt.c_cov, c_sum, rtol=1e-12, atol=floor)
+    np.testing.assert_allclose(
+        lt.a_pow, np.linalg.matrix_power(a, steps), rtol=1e-12, atol=floor
+    )
+
+
 def test_long_term_psd_and_growing_trace():
     model = MotionModel(ts=0.05, steering_angle=0.3, sigma_omega=0.4)
     prev = 0.0
@@ -157,7 +184,7 @@ def test_long_term_accumulator_matches_batch():
         lt_ref = long_term(model, steps)
         np.testing.assert_allclose(lt_inc.b_acc, lt_ref.b_acc, rtol=1e-12)
         np.testing.assert_allclose(lt_inc.c_cov, lt_ref.c_cov, rtol=1e-12, atol=1e-18)
-        np.testing.assert_allclose(acc.a_power, np.linalg.matrix_power(
+        np.testing.assert_allclose(lt_inc.a_pow, np.linalg.matrix_power(
             transition_matrices(model)[0], steps), rtol=1e-12)
 
 
