@@ -22,13 +22,6 @@ class AccelEstimate:
     crlb: float
 
 
-def residual_state(t_hat: np.ndarray, t0: np.ndarray, a: np.ndarray, steps: int) -> np.ndarray:
-    """Residual t_hat - A^steps t0 observed at step `steps`."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    return np.asarray(t_hat, float) - np.linalg.matrix_power(a, steps) @ np.asarray(t0, float)
-
-
 def estimate_alpha(
     t_res: np.ndarray,
     b_acc: np.ndarray,

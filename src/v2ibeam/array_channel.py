@@ -108,17 +108,6 @@ def array_response(num_antennas: int, psi: float) -> np.ndarray:
     return np.exp(1j * m * psi)
 
 
-def array_response_derivative(num_antennas: int, psi: float):
-    """Componentwise d/dpsi of the response's real and imaginary parts.
-
-    Returns (d_re, d_im) with d_re[m] = -m sin(m psi), d_im[m] = m cos(m psi).
-    """
-    if num_antennas < 1:
-        raise ValueError("num_antennas must be >= 1")
-    m = np.arange(num_antennas)
-    return -m * np.sin(m * psi), m * np.cos(m * psi)
-
-
 def average_snr(cfg: ArrayConfig, distance_m: float) -> float:
     """Average linear SNR (tx/noise) * (lambda / 4 pi d)^n at distance d."""
     if distance_m <= 0:

@@ -1,10 +1,10 @@
 """Extended Kalman filter for vehicle state tracking over uplink sounding.
 
-One tracking step: linear state prediction, the rank-one channel Jacobian at
-the predicted state, combiner design from it, a real-domain lifted sounding
-observation, the 3x2 Kalman gain, and the mean/covariance update. The stationary
-acceleration is estimated on the side and, once two consecutive estimates
-agree, fed back into the prediction.
+One tracking step: linear state prediction, the rank-one channel Jacobian
+D = h_dot grad^T at the predicted state, combiner design from it, one complex
+sounding sample r = z^H h(psi) + n, and a scalar rank-one mean/covariance
+update. The stationary acceleration is estimated on the side and, once two
+consecutive estimates agree, fed back into the prediction.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .array_channel import (
     ChannelRealization,
     RoadGeometry,
     array_response,
-    array_response_derivative,
     average_snr,
     spatial_frequency,
 )
@@ -100,66 +99,51 @@ def jacobian(
     ts: float,
     steering_angle: float,
 ):
-    """Channel Jacobian at the predicted state.
+    """Rank-one factors of the channel Jacobian at the predicted state.
 
-    Returns (d_lift, d_complex): the 2M x 3 real lifting
-    [Re(beta) dd_re - Im(beta) dd_im; Im(beta) dd_re + Re(beta) dd_im] * grad
-    and the complex M x 3 variant used by the combiner design.
+    Returns (h_pred, h_dot, grad): the predicted channel h = beta d_M(psi), its
+    derivative dh/dpsi = j m h_m and the state gradient of psi, so that the
+    complex Jacobian is D = h_dot grad^T.
     """
     psi = g_of_state(state_pred, h)
-    dd_re, dd_im = array_response_derivative(num_antennas, psi)
-    grad = g_gradient(state_pred, h, ts, steering_angle)
-    br, bi = beta.real, beta.imag
-    h_re_dot = br * dd_re - bi * dd_im
-    h_im_dot = bi * dd_re + br * dd_im
-    d_lift = np.outer(np.concatenate([h_re_dot, h_im_dot]), grad)
-    d_complex = np.outer(h_re_dot + 1j * h_im_dot, grad)
-    return d_lift, d_complex
+    h_pred = beta * array_response(num_antennas, psi)
+    h_dot = 1j * np.arange(num_antennas) * h_pred
+    return h_pred, h_dot, g_gradient(state_pred, h, ts, steering_angle)
 
 
 def kalman_gain(
-    q_pred: np.ndarray, d_lift: np.ndarray, z_lift: np.ndarray, rho: float
+    q_pred: np.ndarray, grad: np.ndarray, c: complex, noise_var: float
 ) -> np.ndarray:
-    """Gain K = Q D^T Z^T (Z D Q D^T Z^T + I/(2 rho))^{-1}, shape 3x2."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    zd = z_lift @ d_lift  # 2x3
-    cross = q_pred @ zd.T  # 3x2
-    (a, b), (c, d) = (zd @ cross).tolist()
-    a += 0.5 / rho
-    d += 0.5 / rho
-    det = a * d - b * c
-    if det == 0.0:  # cannot occur for finite rho
-        raise ValueError("degenerate sounding: innovation covariance singular")
-    return cross @ np.array([[d, -b], [-c, a]]) / det
+    """State factor k = w / den of the Kalman gain, with w = Q grad and
+    den = noise_var + grad^T w |c|^2, where c = z^H h_dot.
+
+    The real-domain measurement matrix of the sounding sample is
+    [Re c, Im c]^T grad^T, so the 3x2 gain of the lifted observation with
+    per-component noise variance noise_var is k [Re c, Im c].
+    """
+    if noise_var <= 0:
+        raise ValueError("noise_var must be positive")
+    w = q_pred @ grad
+    return w / (noise_var + float(grad @ w) * abs(c) ** 2)
 
 
 def update(
     belief_pred: StateBelief,
-    obs: sounding_mod.RealSounding,
-    d_lift: np.ndarray,
-    beta: complex,
-    num_antennas: int,
-    h: float,
-    use_joseph: bool = False,
+    obs: sounding_mod.Sounding,
+    h_pred: np.ndarray,
+    h_dot: np.ndarray,
+    grad: np.ndarray,
 ) -> StateBelief:
-    """Measurement update against the lifted sounding sample.
+    """Scalar rank-one measurement update against one sounding sample.
 
-    Mean: t + K (r - Z h_lift(g(t))). Covariance: (I - K Z D) Q, symmetrized;
-    the Joseph-form alternative is available behind use_joseph.
+    With c = z^H h_dot and innovation nu = r - z^H h_pred:
+    mean t + k Re(conj(c) nu), covariance Q - |c|^2 k (Q grad)^T, symmetrized.
     """
-    psi_pred = g_of_state(belief_pred.mean, h)
-    h_lift = sounding_mod.lift_channel(beta * array_response(num_antennas, psi_pred))
-    rho = 1.0 / (2.0 * obs.noise_var)
-    gain = kalman_gain(belief_pred.cov, d_lift, obs.z_lift, rho)
-    innovation = obs.r_lift - obs.z_lift @ h_lift
-    mean = belief_pred.mean + gain @ innovation
-    kzd = gain @ (obs.z_lift @ d_lift)
-    if use_joseph:
-        i_kzd = np.eye(3) - kzd
-        cov = i_kzd @ belief_pred.cov @ i_kzd.T + obs.noise_var * gain @ gain.T
-    else:
-        cov = belief_pred.cov - kzd @ belief_pred.cov
+    c = np.vdot(obs.z, h_dot)
+    gain = kalman_gain(belief_pred.cov, grad, c, obs.noise_var)
+    innovation = obs.r - np.vdot(obs.z, h_pred)
+    mean = belief_pred.mean + gain * (c.conjugate() * innovation).real
+    cov = belief_pred.cov - abs(c) ** 2 * np.outer(gain, belief_pred.cov @ grad)
     return StateBelief(mean=mean, cov=(cov + cov.T) / 2.0)
 
 
@@ -222,15 +206,15 @@ class Tracker:
         self.dictionary = dictionary
 
     def design_combiner(
-        self, belief_pred: StateBelief, d_complex: np.ndarray, rho: float
+        self, belief_pred: StateBelief, h_dot: np.ndarray, grad: np.ndarray, rho: float
     ) -> sounding_mod.Combiner:
-        """Sounding combiner at the predicted belief; d_complex is the complex
-        channel Jacobian there (see jacobian)."""
+        """Sounding combiner at the predicted belief; h_dot and grad are the
+        rank-one factors of the channel Jacobian there (see jacobian)."""
         psi_pred = g_of_state(belief_pred.mean, self.geometry.rsu_height_m)
         if self.combiner_mode == "manifold":
             return sounding_mod.dft_manifold_combiner(psi_pred, self.array.num_antennas)
         comb = sounding_mod.optimal_combiner(
-            d_complex, belief_pred.cov, rho, fallback_psi=psi_pred
+            h_dot, grad, belief_pred.cov, rho, fallback_psi=psi_pred
         )
         if self.combiner_mode == "hybrid":
             comb = sounding_mod.hybrid_approximation(
@@ -258,7 +242,7 @@ class Tracker:
         psi_true = spatial_frequency(truth.x, truth.y, h)
 
         chan = ChannelRealization(beta=beta, psi=psi_true, rho=rho)
-        d_lift, d_complex = jacobian(
+        h_pred, h_dot, grad = jacobian(
             belief_pred.mean,
             beta,
             self.array.num_antennas,
@@ -266,11 +250,9 @@ class Tracker:
             self.model.ts,
             self.model.steering_angle,
         )
-        comb = self.design_combiner(belief_pred, d_complex, rho)
+        comb = self.design_combiner(belief_pred, h_dot, grad, rho)
         obs = sounding_mod.sound_uplink(rng, comb, chan, self.array.num_antennas)
-        self.belief = update(
-            belief_pred, obs, d_lift, beta, self.array.num_antennas, h
-        )
+        self.belief = update(belief_pred, obs, h_pred, h_dot, grad)
 
         if self.estimate_accel and self.step_index >= self.accel_min_step:
             t_res = self.belief.mean - lt.a_pow @ self.t0_anchor

@@ -152,8 +152,7 @@ class FeedbackTracker:
     def step(self, truth: StateVector, beta: complex, rng) -> TrackStep:
         self.step_index += 1
         if self.step_index % self.period == 0:
-            t = truth.as_array()
-            self.belief = StateBelief(mean=t.copy(), cov=1e-9 * float(t @ t) * np.eye(3))
+            self.belief = init_belief(truth, 0.0, None)
         else:
             self.belief = predict(self.belief, self.model, None)
         return TrackStep(

@@ -134,15 +134,3 @@ def dft_scheme_directions(
     psi_mid = spatial_frequency(float(mid_state[0]), float(mid_state[1]), h)
     return psi_mid, psi_now
 
-
-def dft_scheme_baselines(
-    belief: StateBelief,
-    model: MotionModel,
-    omega: int,
-    num_antennas: int,
-    h: float,
-    alpha_hat: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """DFT-grid beamformers of schemes 1 and 2 (see dft_scheme_directions)."""
-    psi_mid, psi_now = dft_scheme_directions(belief, model, omega, h, alpha_hat)
-    return dft_codeword(psi_mid, num_antennas), dft_codeword(psi_now, num_antennas)

@@ -1,14 +1,15 @@
 """Uplink combiner design and sounding observation synthesis.
 
-The sounding sample is r = z^H h(psi) + n with a unit-norm combiner z and
-n ~ CN(0, 1/rho). The adaptive combiner maximizes the generalized Rayleigh
-quotient
+The sounding sample is one complex value r = z^H h(psi) + n with a unit-norm
+combiner z and n ~ CN(0, 1/rho). The adaptive combiner maximizes the
+generalized Rayleigh quotient
 
     z^H (D Q^2 D^H) z / z^H (D Q D^H + I/rho) z,
 
-where D is the complex channel Jacobian at the predicted state. A hybrid
-(analog/digital) reconstruction projects it onto N equal-gain steering atoms
-via orthogonal matching pursuit.
+where D = h_dot grad^T is the rank-one complex channel Jacobian at the
+predicted state; the maximizer is h_dot/||h_dot||. A hybrid (analog/digital)
+reconstruction projects it onto N equal-gain steering atoms via orthogonal
+matching pursuit.
 """
 
 from __future__ import annotations
@@ -37,16 +38,15 @@ class Combiner:
 
 
 @dataclass(frozen=True)
-class RealSounding:
-    """Real-domain lifting of one sounding sample.
+class Sounding:
+    """One sounding sample r = z^H h(psi) + n taken with the combiner z.
 
-    r_lift = [Re r, Im r]; z_lift is the 2 x 2M block matrix built from the
-    combiner row z^H so that z_lift @ h_lift = [Re(z^H h), Im(z^H h)].
-    noise_var is the per-component real noise variance 1/(2 rho).
+    noise_var is the variance 1/(2 rho) of each of the real and imaginary
+    parts of n.
     """
 
-    r_lift: np.ndarray
-    z_lift: np.ndarray
+    r: complex
+    z: np.ndarray
     noise_var: float
 
 
@@ -72,34 +72,9 @@ class SteeringDictionary:
         return SteeringDictionary(atoms=atoms, grid=grid, oversampling=oversampling)
 
 
-def lift_combiner(z: np.ndarray) -> np.ndarray:
-    """2 x 2M real block matrix of the combining row z^H."""
-    zr = np.real(z)
-    zi = -np.imag(z)  # row vector is the conjugate of the stored column
-    m = z.shape[0]
-    out = np.empty((2, 2 * m))
-    out[0, :m] = zr
-    out[0, m:] = -zi
-    out[1, :m] = zi
-    out[1, m:] = zr
-    return out
-
-
-def lift_channel(h: np.ndarray) -> np.ndarray:
-    """Stack [Re h; Im h] into a 2M real vector."""
-    return np.concatenate([np.real(h), np.imag(h)])
-
-
-def rayleigh_quotient(z: np.ndarray, d: np.ndarray, q_pred: np.ndarray, rho: float) -> float:
-    """Objective value of the combiner design problem at z."""
-    dq = d @ q_pred
-    num = z.conj() @ (dq @ q_pred @ d.conj().T) @ z
-    den = z.conj() @ (dq @ d.conj().T) @ z + (z.conj() @ z) / rho
-    return float(np.real(num) / np.real(den))
-
-
 def optimal_combiner(
-    d: np.ndarray,
+    h_dot: np.ndarray,
+    grad: np.ndarray,
     q_pred: np.ndarray,
     rho: float,
     fallback_psi: float | None = None,
@@ -107,28 +82,24 @@ def optimal_combiner(
     """Principal eigenvector of (D Q D^H + I/rho)^{-1} (D Q^2 D^H), unit norm.
 
     The channel Jacobian is rank one, D = h_dot grad^T (see ekf.jacobian), so
-    D Q^2 D^H = c h_dot h_dot^H with c = grad^T Q^2 grad >= 0, and the
-    eigenvector (D Q D^H + I/rho)^{-1} h_dot is itself proportional to h_dot
-    by the matrix inversion lemma. The optimum is therefore h_dot/||h_dot||
-    for every Q and rho; it is taken from the first column of D, whose factor
-    dg/dx = pi k^2 / r^3 is positive. On a degenerate objective
-    (tr(D Q^2 D^H) numerically zero) falls back to the array-manifold combiner
-    at fallback_psi when given.
+    D Q^2 D^H = ||Q grad||^2 h_dot h_dot^H, and the eigenvector
+    (D Q D^H + I/rho)^{-1} h_dot is itself proportional to h_dot by the matrix
+    inversion lemma. The optimum is therefore h_dot/||h_dot|| for every Q and
+    rho. On a degenerate objective (tr(D Q^2 D^H) = ||h_dot||^2 ||Q grad||^2
+    numerically zero) falls back to the array-manifold combiner at
+    fallback_psi when given.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    m = d.shape[0]
-    q = np.asarray(q_pred, float)
-    dq = d @ q
-    scale = float(np.vdot(dq, dq).real)  # tr(D Q^2 D^H) for symmetric Q
-    v = d[:, 0]
-    norm = np.linalg.norm(v)
-    if not (scale > DEGENERATE_NORM and norm > 0):
+    m = h_dot.shape[0]
+    qg = np.asarray(q_pred, float) @ grad
+    norm = np.linalg.norm(h_dot)
+    if not norm**2 * float(qg @ qg) > DEGENERATE_NORM:
         if fallback_psi is None:
             raise ValueError("degenerate combiner objective and no fallback direction")
         z = array_response(m, fallback_psi) / math.sqrt(m)
         return Combiner(z=z, kind="optimal", fallback=True)
-    return Combiner(z=v / norm, kind="optimal")
+    return Combiner(z=h_dot / norm, kind="optimal")
 
 
 def hybrid_approximation(
@@ -194,18 +165,14 @@ def sound_uplink(
     combiner: Combiner,
     chan: ChannelRealization,
     num_antennas: int,
-) -> RealSounding:
-    """Synthesize r = z^H h(psi) + n, n ~ CN(0, 1/rho), lifted to the real domain.
+) -> Sounding:
+    """Synthesize r = z^H h(psi) + n, n ~ CN(0, 1/rho).
 
     Passing rng=None produces the noiseless sample.
     """
     h = chan.beta * array_response(num_antennas, chan.psi)
     r = np.vdot(combiner.z, h)
+    noise_var = 1.0 / (2.0 * chan.rho)
     if rng is not None:
-        scale = math.sqrt(1.0 / (2.0 * chan.rho))
-        r = r + scale * (rng.standard_normal() + 1j * rng.standard_normal())
-    return RealSounding(
-        r_lift=np.array([r.real, r.imag]),
-        z_lift=lift_combiner(combiner.z),
-        noise_var=1.0 / (2.0 * chan.rho),
-    )
+        r = r + math.sqrt(noise_var) * (rng.standard_normal() + 1j * rng.standard_normal())
+    return Sounding(r=r, z=combiner.z, noise_var=noise_var)

@@ -1,19 +1,12 @@
 import numpy as np
 import pytest
 
-from v2ibeam.accel import AccelEstimate, estimate_alpha, gate_alpha, residual_state
+from v2ibeam.accel import AccelEstimate, estimate_alpha, gate_alpha
 from v2ibeam.motion import MotionModel, long_term, transition_matrices
 
 
 def _model():
     return MotionModel(ts=0.01, steering_angle=0.1, sigma_omega=0.03, sigma_alpha=1.9)
-
-
-def test_residual_zero_for_pure_transport():
-    a, _, _, _ = transition_matrices(_model())
-    t0 = np.array([-50.0, 8.5, 19.4])
-    t_hat = np.linalg.matrix_power(a, 17) @ t0
-    np.testing.assert_allclose(residual_state(t_hat, t0, a, 17), 0.0, atol=1e-12)
 
 
 def test_residual_recovers_acceleration_term():
@@ -25,7 +18,7 @@ def test_residual_recovers_acceleration_term():
     for _ in range(25):
         state = a @ state + b * alpha
     lt = long_term(model, 25)
-    res = residual_state(state, t0, a, 25)
+    res = state - lt.a_pow @ t0
     np.testing.assert_allclose(res, lt.b_acc * alpha, rtol=1e-10)
 
 
@@ -95,12 +88,6 @@ def test_crlb_shrinks_with_covariance():
 def test_estimate_rejects_zero_transition():
     with pytest.raises(ValueError):
         estimate_alpha(np.zeros(3), np.zeros(3), np.eye(3), np.eye(3))
-
-
-def test_residual_rejects_zero_steps():
-    a = np.eye(3)
-    with pytest.raises(ValueError):
-        residual_state(np.zeros(3), np.zeros(3), a, 0)
 
 
 def _est(val):

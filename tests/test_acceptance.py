@@ -26,7 +26,6 @@ from v2ibeam.ekf import StateBelief, g_of_state, jacobian, update
 from v2ibeam.motion import MotionModel, long_term
 from v2ibeam.sounding import (
     dft_manifold_combiner,
-    lift_channel,
     optimal_combiner,
     sound_uplink,
 )
@@ -69,7 +68,8 @@ class budget:
 
 
 def lifted_channel_at(state, beta, m, h):
-    return lift_channel(beta * array_response(m, g_of_state(state, h)))
+    hh = beta * array_response(m, g_of_state(state, h))
+    return np.concatenate([hh.real, hh.imag])
 
 
 def test_criterion_1_jacobian_against_finite_differences():
@@ -83,7 +83,9 @@ def test_criterion_1_jacobian_against_finite_differences():
                     rng.uniform(-70, 70), rng.uniform(2, 15), rng.uniform(5, 30)
                 ])
                 beta = complex(rng.standard_normal(), rng.standard_normal())
-                d_lift, _ = jacobian(state, beta, m, h, ts, phi)
+                _, h_dot, grad = jacobian(state, beta, m, h, ts, phi)
+                D = np.outer(h_dot, grad)
+                d_lift = np.vstack([D.real, D.imag])
                 fd = np.zeros_like(d_lift)
                 for axis in range(2):
                     hi = state.copy(); hi[axis] += step
@@ -107,11 +109,12 @@ def test_criterion_2_combiner_maximizes_rayleigh_quotient():
                 rng.uniform(-70, 70), rng.uniform(2, 15), rng.uniform(5, 30)
             ])
             beta = complex(rng.standard_normal(), rng.standard_normal())
-            _, d = jacobian(state, beta, m, 7.5, 0.01, 0.1)
+            _, h_dot, grad = jacobian(state, beta, m, 7.5, 0.01, 0.1)
+            d = np.outer(h_dot, grad)
             base = rng.standard_normal((3, 3))
             q = base @ base.T + 10 ** rng.uniform(-4, 0) * np.eye(3)
             rho = 10 ** rng.uniform(-1.5, 2.5)
-            z = optimal_combiner(d, q, rho).z
+            z = optimal_combiner(h_dot, grad, q, rho).z
             dq = d @ q
             s_num = dq @ q @ d.conj().T
             s_den = dq @ d.conj().T + np.eye(m) / rho
@@ -261,8 +264,8 @@ def test_criterion_9_ekf_sanity():
         beta = 0.7 - 0.4j
         comb = dft_manifold_combiner(g_of_state(state, h), m)
         obs = sound_uplink(None, comb, ChannelRealization(beta, g_of_state(state, h), 8.0), m)
-        d_lift, _ = jacobian(state, beta, m, h, 0.01, 0.1)
-        updated = update(belief, obs, d_lift, beta, m, h)
+        h_pred, h_dot, grad = jacobian(state, beta, m, h, 0.01, 0.1)
+        updated = update(belief, obs, h_pred, h_dot, grad)
         assert np.all(updated.mean == belief.mean)
 
         # covariance numerically PSD on every step of every bundled scenario

@@ -9,7 +9,6 @@ from v2ibeam.array_channel import (
     RicianConfig,
     RoadGeometry,
     array_response,
-    array_response_derivative,
     average_snr,
     channel_vector,
     draw_fading,
@@ -77,37 +76,6 @@ def test_array_response_real_imag_split():
     d = array_response(7, psi)
     np.testing.assert_allclose(d.real, np.cos(m * psi), atol=1e-15)
     np.testing.assert_allclose(d.imag, np.sin(m * psi), atol=1e-15)
-
-
-def test_array_response_derivative_at_zero():
-    d_re, d_im = array_response_derivative(3, 0.0)
-    np.testing.assert_allclose(d_re, [0.0, 0.0, 0.0])
-    np.testing.assert_allclose(d_im, [0.0, 1.0, 2.0])
-
-
-def test_array_response_derivative_first_entry_zero():
-    rng = np.random.default_rng(6)
-    for _ in range(10):
-        m = int(rng.integers(1, 64))
-        psi = rng.uniform(-math.pi, math.pi)
-        d_re, d_im = array_response_derivative(m, psi)
-        assert d_re[0] == 0.0 and d_im[0] == 0.0
-
-
-def test_array_response_derivative_matches_central_difference():
-    rng = np.random.default_rng(7)
-    step = 1e-6
-    worst = 0.0
-    for _ in range(100):
-        m = int(rng.integers(2, 128))
-        psi = rng.uniform(-math.pi, math.pi)
-        d_re, d_im = array_response_derivative(m, psi)
-        hi = array_response(m, psi + step)
-        lo = array_response(m, psi - step)
-        fd = (hi - lo) / (2 * step)
-        worst = max(worst, np.max(np.abs(fd.real - d_re)))
-        worst = max(worst, np.max(np.abs(fd.imag - d_im)))
-    assert worst <= 1e-6
 
 
 def _cfg(tx_dbm=-20.0, noise_dbm=-101.0, n=2.0, fc_hz=28e9, m=64):

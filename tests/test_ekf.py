@@ -19,10 +19,11 @@ from v2ibeam.ekf import (
 )
 from v2ibeam.motion import MotionModel, StateVector, transition_matrices
 from v2ibeam.sounding import (
-    RealSounding,
+    Combiner,
+    Sounding,
+    SteeringDictionary,
     dft_manifold_combiner,
-    lift_channel,
-    lift_combiner,
+    hybrid_approximation,
     optimal_combiner,
     sound_uplink,
 )
@@ -30,8 +31,19 @@ from v2ibeam.units import carrier_to_wavelength, dbm_to_mw
 
 
 def lifted_channel(state, beta, m, h):
-    psi = g_of_state(state, h)
-    return lift_channel(beta * array_response(m, psi))
+    hh = beta * array_response(m, g_of_state(state, h))
+    return np.concatenate([hh.real, hh.imag])
+
+
+def lifted_jacobian(h_dot, grad):
+    """2M x 3 real Jacobian of [Re h; Im h] from the rank-one factors."""
+    d = np.outer(h_dot, grad)
+    return np.vstack([d.real, d.imag])
+
+
+def lifted_row(z):
+    """2 x 2M real matrix of the combining row z^H acting on [Re h; Im h]."""
+    return np.block([[z.real[None, :], z.imag[None, :]], [-z.imag[None, :], z.real[None, :]]])
 
 
 def test_init_belief_perfect_feedback():
@@ -110,12 +122,11 @@ def test_g_gradient_velocity_entry_is_scaled_x_entry():
 
 def test_jacobian_zero_cases():
     state = np.array([-20.0, 8.5, 19.0])
-    d_lift, d_complex = jacobian(state, 0.0, 16, 7.5, 0.01, 0.1)
-    np.testing.assert_allclose(d_lift, 0.0)
-    np.testing.assert_allclose(d_complex, 0.0)
-    d_lift, d_complex = jacobian(state, 1.0 + 0.5j, 1, 7.5, 0.01, 0.1)
-    np.testing.assert_allclose(d_lift, 0.0)
-    np.testing.assert_allclose(d_complex, 0.0)
+    h_pred, h_dot, _ = jacobian(state, 0.0, 16, 7.5, 0.01, 0.1)
+    np.testing.assert_allclose(h_pred, 0.0)
+    np.testing.assert_allclose(h_dot, 0.0)
+    _, h_dot, _ = jacobian(state, 1.0 + 0.5j, 1, 7.5, 0.01, 0.1)
+    np.testing.assert_allclose(h_dot, 0.0)
 
 
 def test_jacobian_matches_lifted_finite_differences():
@@ -130,7 +141,8 @@ def test_jacobian_matches_lifted_finite_differences():
                 [rng.uniform(-70, 70), rng.uniform(2, 15), rng.uniform(5, 30)]
             )
             beta = complex(rng.standard_normal(), rng.standard_normal())
-            d_lift, _ = jacobian(state, beta, m, h, ts, phi)
+            _, h_dot, grad = jacobian(state, beta, m, h, ts, phi)
+            d_lift = lifted_jacobian(h_dot, grad)
             fd = np.zeros_like(d_lift)
             for axis in range(2):
                 hi = state.copy(); hi[axis] += step
@@ -144,18 +156,24 @@ def test_jacobian_matches_lifted_finite_differences():
 
 
 def test_kalman_gain_zero_jacobian():
-    z_lift = lift_combiner(array_response(8, 0.3) / math.sqrt(8))
-    gain = kalman_gain(np.eye(3), np.zeros((16, 3)), z_lift, 2.0)
+    # D = h_dot grad^T with grad = 0; the h_dot = 0 case is
+    # test_update_zero_gain_leaves_belief
+    gain = kalman_gain(np.eye(3), np.zeros(3), 1.0 + 2.0j, 0.25)
     np.testing.assert_allclose(gain, 0.0)
 
 
 def test_kalman_gain_vanishes_at_low_snr():
-    rng = np.random.default_rng(5)
     state = np.array([-20.0, 8.5, 19.0])
-    d_lift, _ = jacobian(state, 1.0 + 0.2j, 8, 7.5, 0.01, 0.1)
-    z_lift = lift_combiner(array_response(8, 0.3) / math.sqrt(8))
-    small = kalman_gain(np.eye(3), d_lift, z_lift, 1e-12)
-    assert np.max(np.abs(small)) < 1e-9
+    _, h_dot, grad = jacobian(state, 1.0 + 0.2j, 8, 7.5, 0.01, 0.1)
+    z = array_response(8, 0.3) / math.sqrt(8)
+    c = np.vdot(z, h_dot)
+    small = kalman_gain(np.eye(3), grad, c, 0.5 / 1e-12)
+    assert np.max(np.abs(small * abs(c))) < 1e-9
+
+
+def test_kalman_gain_rejects_nonpositive_noise():
+    with pytest.raises(ValueError):
+        kalman_gain(np.eye(3), np.ones(3), 1.0, 0.0)
 
 
 def test_kalman_gain_matches_textbook_form():
@@ -164,27 +182,20 @@ def test_kalman_gain_matches_textbook_form():
         m = int(rng.integers(2, 24))
         state = np.array([rng.uniform(-60, 60), rng.uniform(2, 12), rng.uniform(5, 30)])
         beta = complex(rng.standard_normal(), rng.standard_normal())
-        d_lift, _ = jacobian(state, beta, m, 7.5, 0.01, 0.1)
+        _, h_dot, grad = jacobian(state, beta, m, 7.5, 0.01, 0.1)
         z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         z /= np.linalg.norm(z)
-        z_lift = lift_combiner(z)
         base = rng.standard_normal((3, 3))
         q = base @ base.T + 0.1 * np.eye(3)
         rho = 10 ** rng.uniform(-1, 2)
-        gain = kalman_gain(q, d_lift, z_lift, rho)
-        # standard linear-KF gain on the lifted measurement y = (Z D) t + n
-        h_mat = z_lift @ d_lift
+        c = np.vdot(z, h_dot)
+        gain = kalman_gain(q, grad, c, 1 / (2 * rho))
+        # standard linear-KF gain on the lifted measurement y = (Z D) t + n is
+        # the state factor times the measurement direction [Re c, Im c]
+        h_mat = lifted_row(z) @ lifted_jacobian(h_dot, grad)
         r_mat = np.eye(2) / (2 * rho)
         ref = q @ h_mat.T @ np.linalg.inv(h_mat @ q @ h_mat.T + r_mat)
-        np.testing.assert_allclose(gain, ref, rtol=1e-8, atol=1e-12)
-
-
-def _make_sounding(z, r_value, rho):
-    return RealSounding(
-        r_lift=np.array([r_value.real, r_value.imag]),
-        z_lift=lift_combiner(z),
-        noise_var=1.0 / (2.0 * rho),
-    )
+        np.testing.assert_allclose(np.outer(gain, [c.real, c.imag]), ref, rtol=1e-8, atol=1e-12)
 
 
 def test_update_zero_innovation_is_fixed_point():
@@ -194,8 +205,7 @@ def test_update_zero_innovation_is_fixed_point():
     beta = 0.8 - 0.3j
     comb = dft_manifold_combiner(g_of_state(state, h), m)
     obs = sound_uplink(None, comb, ChannelRealization(beta, g_of_state(state, h), 5.0), m)
-    d_lift, _ = jacobian(state, beta, m, h, 0.01, 0.1)
-    updated = update(belief, obs, d_lift, beta, m, h)
+    updated = update(belief, obs, *jacobian(state, beta, m, h, 0.01, 0.1))
     assert np.all(updated.mean == belief.mean)  # bit-identical
 
 
@@ -206,7 +216,8 @@ def test_update_zero_gain_leaves_belief():
     beta = 1.0 + 0.0j
     comb = dft_manifold_combiner(0.4, m)
     obs = sound_uplink(np.random.default_rng(0), comb, ChannelRealization(beta, 0.4, 5.0), m)
-    updated = update(belief, obs, np.zeros((2 * m, 3)), beta, m, h)
+    h_pred, _, grad = jacobian(state, beta, m, h, 0.01, 0.1)
+    updated = update(belief, obs, h_pred, np.zeros(m, dtype=complex), grad)
     np.testing.assert_allclose(updated.mean, belief.mean)
     np.testing.assert_allclose(updated.cov, belief.cov)
 
@@ -234,8 +245,7 @@ def test_update_reduces_direction_error_on_average():
             beta = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2)
             comb = dft_manifold_combiner(g_of_state(pred.mean, h), m)
             obs = sound_uplink(rng, comb, ChannelRealization(beta, psi_true, 50.0), m)
-            d_lift, _ = jacobian(pred.mean, beta, m, h, ts, 0.0)
-            belief = update(pred, obs, d_lift, beta, m, h)
+            belief = update(pred, obs, *jacobian(pred.mean, beta, m, h, ts, 0.0))
         errs[trial] = checkpoints
     means = errs.mean(axis=0)
     assert means[1] < means[0]
@@ -260,31 +270,14 @@ def test_update_invariant_to_joint_phase_rotation():
         zz = z * np.exp(1j * phase)
         bb = beta * np.exp(1j * phase)
         r = np.vdot(zz, bb * array_response(m, psi_true)) + noise
-        obs = _make_sounding(zz, r, rho)
-        d_lift, _ = jacobian(state, bb, m, h, 0.01, 0.1)
-        return update(belief, obs, d_lift, bb, m, h)
+        obs = Sounding(r=r, z=zz, noise_var=1.0 / (2.0 * rho))
+        return update(belief, obs, *jacobian(state, bb, m, h, 0.01, 0.1))
 
     base = run(0.0)
     for phase in (0.3, 1.7, -2.5):
         rot = run(phase)
         np.testing.assert_allclose(rot.mean, base.mean, atol=1e-10)
         np.testing.assert_allclose(rot.cov, base.cov, atol=1e-10)
-
-
-def test_update_joseph_form_flag():
-    rng = np.random.default_rng(11)
-    m, h = 16, 7.5
-    state = np.array([-30.0, 8.5, 20.0])
-    belief = StateBelief(mean=state, cov=0.1 * np.eye(3))
-    beta = 1.0 + 0.1j
-    comb = dft_manifold_combiner(g_of_state(state, h) + 0.01, m)
-    obs = sound_uplink(rng, comb, ChannelRealization(beta, g_of_state(state, h), 20.0), m)
-    d_lift, _ = jacobian(state, beta, m, h, 0.01, 0.1)
-    simple = update(belief, obs, d_lift, beta, m, h)
-    joseph = update(belief, obs, d_lift, beta, m, h, use_joseph=True)
-    np.testing.assert_allclose(joseph.mean, simple.mean)
-    np.testing.assert_allclose(joseph.cov, simple.cov, atol=1e-8)
-    assert np.linalg.eigvalsh(joseph.cov).min() >= -1e-12
 
 
 def test_update_covariance_symmetric():
@@ -295,8 +288,7 @@ def test_update_covariance_symmetric():
     beta = 1.0 + 0.1j
     comb = dft_manifold_combiner(g_of_state(state, h) + 0.01, m)
     obs = sound_uplink(rng, comb, ChannelRealization(beta, g_of_state(state, h), 20.0), m)
-    d_lift, _ = jacobian(state, beta, m, h, 0.01, 0.1)
-    updated = update(belief, obs, d_lift, beta, m, h)
+    updated = update(belief, obs, *jacobian(state, beta, m, h, 0.01, 0.1))
     np.testing.assert_allclose(updated.cov, updated.cov.T, atol=1e-10)
 
 
@@ -355,10 +347,53 @@ def test_update_covariance_symmetric_psd_property(m, rho, log_scale, seed):
     cov = 10**log_scale * (base @ base.T + 1e-6 * np.eye(3))
     belief = StateBelief(mean=state, cov=cov)
     beta = complex(rng.standard_normal(), rng.standard_normal())
-    d_lift, d = jacobian(state, beta, m, h, 0.01, 0.1)
-    comb = optimal_combiner(d, cov, rho)
+    h_pred, h_dot, grad = jacobian(state, beta, m, h, 0.01, 0.1)
+    comb = optimal_combiner(h_dot, grad, cov, rho)
     psi = g_of_state(state, h) + rng.normal(0.0, 0.05)
     obs = sound_uplink(rng, comb, ChannelRealization(beta, psi, rho), m)
-    post = update(belief, obs, d_lift, beta, m, h).cov
+    post = update(belief, obs, h_pred, h_dot, grad).cov
     assert np.array_equal(post, post.T)
     assert np.linalg.eigvalsh(post).min() >= -1e-12 * np.linalg.norm(cov, 2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    m=st.integers(2, 128),
+    rho=st.floats(1e-2, 1e4),
+    log_scale=st.floats(-6.0, 2.0),
+    kind=st.sampled_from(["optimal", "hybrid", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_update_matches_lifted_joseph_form(m, rho, log_scale, kind, seed):
+    # dense textbook EKF on the real lifting [Re r, Im r] = Z D t + n, with
+    # the Joseph-form covariance, against the scalar rank-one update
+    rng = np.random.default_rng(seed)
+    h = 7.5
+    state = np.array([rng.uniform(-70, 70), rng.uniform(2, 15), rng.uniform(5, 30)])
+    base = rng.standard_normal((3, 3))
+    q = 10**log_scale * (base @ base.T + 1e-3 * np.eye(3))
+    beta = complex(rng.standard_normal(), rng.standard_normal())
+    h_pred, h_dot, grad = jacobian(state, beta, m, h, 0.01, 0.1)
+    comb = optimal_combiner(h_dot, grad, q, rho)
+    if kind == "hybrid":
+        comb = hybrid_approximation(comb, SteeringDictionary.build(m), min(4, m))
+    elif kind == "random":
+        z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        comb = Combiner(z=z / np.linalg.norm(z), kind="optimal")
+    psi = g_of_state(state, h) + rng.normal(0.0, 0.05)
+    obs = sound_uplink(rng, comb, ChannelRealization(beta, psi, rho), m)
+    post = update(StateBelief(mean=state, cov=q), obs, h_pred, h_dot, grad)
+
+    z_row = lifted_row(obs.z)
+    h_mat = z_row @ lifted_jacobian(h_dot, grad)
+    r_mat = obs.noise_var * np.eye(2)
+    gain = q @ h_mat.T @ np.linalg.inv(h_mat @ q @ h_mat.T + r_mat)
+    innovation = np.array([obs.r.real, obs.r.imag]) - z_row @ np.concatenate(
+        [h_pred.real, h_pred.imag]
+    )
+    i_kh = np.eye(3) - gain @ h_mat
+    joseph = i_kh @ q @ i_kh.T + gain @ r_mat @ gain.T
+    shift = gain @ innovation
+    scale = np.linalg.norm(gain) * np.linalg.norm(innovation)
+    assert np.linalg.norm((post.mean - state) - shift) <= 1e-6 * scale + 1e-13 * np.abs(state).max()
+    assert np.max(np.abs(post.cov - joseph)) <= 1e-12 * np.abs(q).max()

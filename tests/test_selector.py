@@ -10,7 +10,7 @@ from v2ibeam.motion import MotionModel, transition_matrices
 from v2ibeam.selector import (
     PredictedDirection,
     dft_codeword,
-    dft_scheme_baselines,
+    dft_scheme_directions,
     direction_distribution,
     extrapolate,
     ideal_bp,
@@ -196,19 +196,20 @@ def test_dft_codeword_on_grid_point():
 
 def test_dft_schemes_zero_omega_coincide():
     belief, model = _belief(), _model()
-    c1, c2 = dft_scheme_baselines(belief, model, 0, 16, 7.5)
-    np.testing.assert_allclose(c1, c2)
+    psi_mid, psi_now = dft_scheme_directions(belief, model, 0, 7.5)
+    np.testing.assert_allclose(dft_codeword(psi_mid, 16), dft_codeword(psi_now, 16))
 
 
 def test_dft_schemes_odd_omega_rejected():
     with pytest.raises(ValueError):
-        dft_scheme_baselines(_belief(), _model(), 5, 16, 7.5)
+        dft_scheme_directions(_belief(), _model(), 5, 7.5)
 
 
 def test_dft_scheme1_points_at_midpoint_prediction():
     belief, model = _belief(), _model()
     omega = 10
-    c1, c2 = dft_scheme_baselines(belief, model, omega, 64, 7.5)
+    got_mid, got_now = dft_scheme_directions(belief, model, omega, 7.5)
+    c1, c2 = dft_codeword(got_mid, 64), dft_codeword(got_now, 64)
     mid = extrapolate(belief, model, None, omega // 2)[-1][0]
     psi_mid = spatial_frequency(float(mid[0]), float(mid[1]), 7.5)
     np.testing.assert_allclose(c1, dft_codeword(psi_mid, 64))
@@ -224,7 +225,8 @@ def test_dft_scheme1_outperforms_scheme2_for_fast_vehicle():
     gains1, gains2 = [], []
     for x0 in np.linspace(-15.0, 15.0, 12):
         belief = StateBelief(mean=np.array([x0, 8.5, 25.0]), cov=np.zeros((3, 3)))
-        c1, c2 = dft_scheme_baselines(belief, model, omega, m, h)
+        psi_mid, psi_now = dft_scheme_directions(belief, model, omega, h)
+        c1, c2 = dft_codeword(psi_mid, m), dft_codeword(psi_now, m)
         state = belief.mean.copy()
         a, b, _, _ = transition_matrices(model)
         for _ in range(omega):
