@@ -20,7 +20,7 @@ from .harness import (
     run_experiment,
     run_trial,
 )
-from .motion import MotionModel, StateVector, simulate_trajectory
+from .motion import MotionModel, StateVector
 from .selector import ideal_bp, select
 
 __version__ = "0.1.0"
@@ -51,7 +51,6 @@ __all__ = [
     "run_trial",
     "save_codebook",
     "select",
-    "simulate_trajectory",
     "spatial_frequency",
     "update",
 ]

@@ -23,6 +23,7 @@ from .harness import (
     bundled_scenario_names,
     bundled_scenario_path,
     load_scenario,
+    records_from_csv,
     records_to_csv,
     run_experiment,
     run_trial,
@@ -143,7 +144,7 @@ def _apply_overrides(scenario, trials, seed, horizon, tracker, combiner, tx_powe
 @click.option("--horizon", type=int, default=None, help="Override step count.")
 @click.option("--tracker", type=click.Choice(harness_mod.TRACKERS), default=None,
               help="Override tracking variant.")
-@click.option("--combiner", type=click.Choice(["optimal", "hybrid"]), default=None,
+@click.option("--combiner", type=click.Choice(harness_mod.COMBINER_MODES), default=None,
               help="Override sounding combiner mode.")
 @click.option("--tx-power", type=float, multiple=True,
               help="Transmit power in dBm; repeat for a sweep.")
@@ -248,7 +249,8 @@ def track_demo(scenario_ref, steps, seed, every, csv_path):
 @guarded
 def report(results_csv, label, out, svg_path):
     """Summarize a results CSV into metric rows (and an optional chart)."""
-    records = _read_records(results_csv)
+    with open(results_csv, newline="", encoding="utf-8") as fh:
+        records = records_from_csv(fh.read())
     if not records:
         raise ValueError(f"{results_csv} has no data rows")
     horizon = max(r.step for r in records)
@@ -272,36 +274,6 @@ def report(results_csv, label, out, svg_path):
         with open(svg_path, "w", encoding="utf-8") as fh:
             fh.write(doc)
         click.echo(f"wrote {svg_path}")
-
-
-def _read_records(path: str):
-    import csv as csv_mod
-
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv_mod.DictReader(fh)
-        missing = set(harness_mod.CSV_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"results CSV missing columns: {sorted(missing)}")
-        for row in reader:
-            records.append(
-                harness_mod.TrialRecord(
-                    trial=int(row["trial"]),
-                    step=int(row["step"]),
-                    time_s=float(row["time_s"]),
-                    x_true=float(row["x_true"]),
-                    y_true=float(row["y_true"]),
-                    v_true=float(row["v_true"]),
-                    x_hat=float(row["x_hat"]),
-                    y_hat=float(row["y_hat"]),
-                    v_hat=float(row["v_hat"]),
-                    alpha_hat=float(row["alpha_hat"]) if row["alpha_hat"] else None,
-                    beam_index=int(row["beam_index"]) if row["beam_index"] else None,
-                    gain_norm=float(row["gain_norm"]) if row["gain_norm"] else None,
-                    rate_bps_hz=float(row["rate_bps_hz"]) if row["rate_bps_hz"] else None,
-                )
-            )
-    return records
 
 
 if __name__ == "__main__":

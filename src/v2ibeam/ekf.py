@@ -181,7 +181,6 @@ class Tracker:
         accel_min_step: int = 10,
         alpha_thres: float = 0.03,
         dictionary: sounding_mod.SteeringDictionary | None = None,
-        t0_anchor: StateVector | None = None,
     ):
         if combiner_mode not in ("optimal", "hybrid", "manifold"):
             raise ValueError(f"unknown combiner_mode {combiner_mode!r}")
@@ -195,8 +194,7 @@ class Tracker:
         self.belief = init_belief(t0, sigma_eps, rng)
         # acceleration-residual anchor: the estimator's noise model assumes an
         # exact initial state, not the perturbed feedback
-        anchor = t0_anchor if t0_anchor is not None else t0
-        self.t0_anchor = anchor.as_array()
+        self.t0 = t0.as_array()
         self.long_term = LongTermAccumulator(model)
         self.alpha_applied: float | None = None
         self.last_estimate: accel_mod.AccelEstimate | None = None
@@ -218,7 +216,7 @@ class Tracker:
         )
         if self.combiner_mode == "hybrid":
             comb = sounding_mod.hybrid_approximation(
-                comb, self.dictionary, self.array.num_rf_chains
+                comb.z, self.dictionary, self.array.num_rf_chains
             )
         return comb
 
@@ -255,7 +253,7 @@ class Tracker:
         self.belief = update(belief_pred, obs, h_pred, h_dot, grad)
 
         if self.estimate_accel and self.step_index >= self.accel_min_step:
-            t_res = self.belief.mean - lt.a_pow @ self.t0_anchor
+            t_res = self.belief.mean - lt.a_pow @ self.t0
             estimate = accel_mod.estimate_alpha(t_res, lt.b_acc, lt.c_cov, self.belief.cov)
             if accel_mod.gate_alpha(self.last_estimate, estimate, self.alpha_thres):
                 self.alpha_applied = estimate.alpha_hat

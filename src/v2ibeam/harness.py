@@ -13,7 +13,9 @@ import io
 import json
 import math
 import numbers
+import operator
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -36,20 +38,21 @@ from .codebook import (
     load_codebook,
     single_blas_thread,
 )
-from .ekf import StateBelief, Tracker, TrackStep, init_belief, predict
+from .ekf import StateBelief, Tracker, TrackStep, g_of_state, init_belief, predict
 from .motion import MotionModel, StateVector, step_truth
 from .units import carrier_to_wavelength, dbm_to_mw, kmh_to_ms
 
 TRACKERS = ("proposed", "manifold-baseline", "feedback")
+# sounding combiners a scenario may choose; the manifold-baseline tracker
+# always sounds through the array-manifold combiner
+COMBINER_MODES = ("optimal", "hybrid")
 BEAM_SCHEMES = ("none", "codebook", "dft1", "dft2", "random")
 NMSE_DENOM_FLOOR = 0.5  # meters / m-per-s; excludes near-zero crossings
 
-CSV_COLUMNS = [
-    "trial", "step", "time_s",
-    "x_true", "y_true", "v_true",
-    "x_hat", "y_hat", "v_hat",
-    "alpha_hat", "beam_index", "gain_norm", "rate_bps_hz",
-]
+
+def _is_positive_int(value) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
+            and value >= 1)
 
 
 @dataclass(frozen=True)
@@ -88,13 +91,15 @@ class Scenario:
             raise ValueError(f"unknown tracker {self.tracker!r}")
         if self.beam_scheme not in BEAM_SCHEMES:
             raise ValueError(f"unknown beam scheme {self.beam_scheme!r}")
-        if self.combiner_mode not in ("optimal", "hybrid"):
+        if self.beam_scheme == "dft1" and self.omega % 2:
+            raise ValueError(f"beam scheme 'dft1' needs an even omega, got {self.omega}")
+        if self.combiner_mode not in COMBINER_MODES:
             raise ValueError(f"unknown combiner_mode {self.combiner_mode!r}")
-        if self.coherence_steps is not None and (
-            isinstance(self.coherence_steps, bool)
-            or not isinstance(self.coherence_steps, numbers.Integral)
-            or self.coherence_steps < 1
-        ):
+        if not _is_positive_int(self.feedback_period):
+            raise ValueError(
+                f"feedback_period must be a positive integer, got {self.feedback_period!r}"
+            )
+        if self.coherence_steps is not None and not _is_positive_int(self.coherence_steps):
             raise ValueError(
                 f"coherence_steps must be a positive integer, got {self.coherence_steps!r}"
             )
@@ -102,6 +107,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One row of the results CSV: the fields, in order, are its columns."""
+
     trial: int
     step: int
     time_s: float
@@ -115,6 +122,9 @@ class TrialRecord:
     beam_index: int | None
     gain_norm: float | None
     rate_bps_hz: float | None
+
+
+CSV_COLUMNS = tuple(typing.get_type_hints(TrialRecord))
 
 
 @dataclass(frozen=True)
@@ -165,10 +175,12 @@ class FeedbackTracker:
 
 
 def make_tracker(scenario: Scenario, array: ArrayConfig, rng):
+    """The tracker the scenario names. The manifold baseline is the proposed
+    EKF sounding through the array-manifold combiner with the acceleration
+    estimator disabled; its update equations are unchanged."""
     if scenario.tracker == "feedback":
         return FeedbackTracker(scenario.motion, scenario.t0, scenario.feedback_period)
-    if scenario.tracker == "manifold-baseline":
-        return baseline_manifold_tracker(scenario, array, rng)
+    baseline = scenario.tracker == "manifold-baseline"
     return Tracker(
         scenario.geometry,
         array,
@@ -176,31 +188,23 @@ def make_tracker(scenario: Scenario, array: ArrayConfig, rng):
         scenario.t0,
         scenario.sigma_eps,
         rng,
-        combiner_mode=scenario.combiner_mode,
-        estimate_accel=True,
+        combiner_mode="manifold" if baseline else scenario.combiner_mode,
+        estimate_accel=not baseline,
         accel_min_step=scenario.accel_min_step,
         alpha_thres=scenario.alpha_thres,
     )
 
 
-def baseline_manifold_tracker(scenario: Scenario, array: ArrayConfig | None = None, rng=None) -> Tracker:
-    """EKF variant sounding through the array-manifold combiner, with the
-    acceleration estimator disabled; update equations are unchanged."""
-    return Tracker(
-        scenario.geometry,
-        array if array is not None else scenario.array,
-        scenario.motion,
-        scenario.t0,
-        scenario.sigma_eps,
-        rng,
-        combiner_mode="manifold",
-        estimate_accel=False,
-    )
-
-
-def _run_tracking(
+def simulate_tracking_trial(
     scenario: Scenario, rng: np.random.Generator, array: ArrayConfig
 ) -> tuple[StateBelief, list[TrackStep]]:
+    """Run the tracking loop over one simulated trajectory.
+
+    Per step: advance the truth, draw fading, design the combiner, take the
+    sounding sample, update the belief, and (for the proposed tracker) refresh
+    the acceleration estimate. Returns the tracker's initial belief and the
+    per-step log.
+    """
     tracker = make_tracker(scenario, array, rng)
     initial_belief = tracker.belief
     fading = FadingProcess(rng, scenario.fading)
@@ -217,21 +221,6 @@ def _run_tracking(
         beta = fading.step()
         steps.append(tracker.step(truth, beta, sounding_rng))
     return initial_belief, steps
-
-
-def simulate_tracking_trial(
-    scenario: Scenario,
-    rng: np.random.Generator,
-    array: ArrayConfig | None = None,
-) -> list[TrackStep]:
-    """Run the tracking loop over one simulated trajectory.
-
-    Per step: advance the truth, draw fading, design the combiner, take the
-    sounding sample, update the belief, and (for the proposed tracker) refresh
-    the acceleration estimate.
-    """
-    _, steps = _run_tracking(scenario, rng, array if array is not None else scenario.array)
-    return steps
 
 
 def _assign_beams(
@@ -257,10 +246,7 @@ def _assign_beams(
             preds = selector_mod.extrapolate(
                 belief, scenario.motion, alpha_hat, scenario.omega
             )
-            dirs = [
-                selector_mod.direction_distribution(mean, cov, h, t=t + 1)
-                for t, (mean, cov) in enumerate(preds)
-            ]
+            dirs = [selector_mod.direction_distribution(mean, cov, h) for mean, cov in preds]
             ideal = selector_mod.ideal_bp(dirs, num_antennas, book.grid_size)
             q_hat, word = selector_mod.select(book, ideal)
             choice = (q_hat, word.u)
@@ -268,10 +254,12 @@ def _assign_beams(
             q_hat = int(rng.integers(0, book.size)) + 1
             choice = (q_hat, book.codewords[q_hat - 1].u)
         else:
-            psi_mid, psi_now = selector_mod.dft_scheme_directions(
-                belief, scenario.motion, scenario.omega, h, alpha_hat
-            )
-            psi = psi_mid if scheme == "dft1" else psi_now
+            if scheme == "dft1":
+                psi = selector_mod.dft_midpoint_direction(
+                    belief, scenario.motion, scenario.omega, h, alpha_hat
+                )
+            else:
+                psi = g_of_state(belief.mean, h)
             choice = (
                 selector_mod.dft_bin(psi, num_antennas) + 1,
                 selector_mod.dft_codeword(psi, num_antennas),
@@ -292,7 +280,7 @@ def run_trial(
     if book is None:
         book = resolve_codebook(scenario)
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, trial_idx]))
-    initial_belief, steps = _run_tracking(scenario, rng, array)
+    initial_belief, steps = simulate_tracking_trial(scenario, rng, array)
 
     assignments = _assign_beams(
         scenario, steps, book, rng, initial_belief, array.num_antennas
@@ -449,29 +437,51 @@ def run_experiment(
     return results
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # shortest round-trip form, plain float repr
-    return str(value)
-
-
 def records_to_csv(records: list[TrialRecord]) -> str:
+    """Results CSV: csv.writer leaves None cells empty and writes every float
+    in its shortest round-trip form."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.trial, r.step, _cell(r.time_s),
-                _cell(r.x_true), _cell(r.y_true), _cell(r.v_true),
-                _cell(r.x_hat), _cell(r.y_hat), _cell(r.v_hat),
-                _cell(r.alpha_hat), _cell(r.beam_index),
-                _cell(r.gain_norm), _cell(r.rate_bps_hz),
-            ]
-        )
+    writer.writerows(map(operator.attrgetter(*CSV_COLUMNS), records))
     return buf.getvalue()
+
+
+def _column_rules():
+    """(column, parse, optional) per results-CSV column, from TrialRecord's
+    field types: `float | None` parses as float and may be empty."""
+    for name, hint in typing.get_type_hints(TrialRecord).items():
+        kinds = typing.get_args(hint) or (hint,)
+        parse = next(k for k in kinds if k is not type(None))
+        yield name, parse, type(None) in kinds
+
+
+_COLUMN_RULES = tuple(_column_rules())
+
+
+def records_from_csv(text: str) -> list[TrialRecord]:
+    """Parse a results CSV (see records_to_csv); columns may come in any order
+    and extra columns are ignored."""
+    reader = csv.DictReader(io.StringIO(text))
+    missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
+    if missing:
+        raise ValueError(f"results CSV missing columns: {sorted(missing)}")
+    records = []
+    for row in reader:
+        values = []
+        for name, parse, optional in _COLUMN_RULES:
+            cell = row[name]
+            if not cell and optional:
+                values.append(None)
+                continue
+            try:
+                values.append(parse(cell))
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"results CSV line {reader.line_num}: bad {name} cell {cell!r}"
+                ) from None
+        records.append(TrialRecord(*values))
+    return records
 
 
 def summaries_to_csv(summaries: list[MetricSummary]) -> str:
@@ -487,7 +497,7 @@ def summaries_to_csv(summaries: list[MetricSummary]) -> str:
             ("excluded_x", float(s.excluded_x)),
             ("excluded_v", float(s.excluded_v)),
         ]:
-            writer.writerow([metric, s.scenario, _cell(float(value))])
+            writer.writerow([metric, s.scenario, value])
     return buf.getvalue()
 
 
@@ -526,78 +536,100 @@ def _check_keys(doc: dict) -> None:
             raise ValueError(f"unknown scenario keys at {where}: {', '.join(unknown)}")
 
 
+def _get(part: dict, key: str, convert, default=None):
+    """convert(part[key]) (default when absent); a value convert rejects is a
+    ValueError that names the key."""
+    value = part.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"scenario key {key!r} = {value!r}: {exc}") from None
+
+
+def _range(value) -> tuple[float, float]:
+    lb, ub = value
+    return float(lb), float(ub)
+
+
+def _powers(value) -> tuple[float, ...]:
+    powers = tuple(map(float, value)) if isinstance(value, (list, tuple)) else (float(value),)
+    if not powers:
+        raise ValueError("needs at least one transmit power")
+    return powers
+
+
 def scenario_from_dict(doc: dict, name: str | None = None) -> Scenario:
     _check_keys(doc)
     geo = doc["geometry"]
-    rng_lb, rng_ub = geo.get("range_m", (-75.0, 75.0))
+    rng_lb, rng_ub = _get(geo, "range_m", _range, (-75.0, 75.0))
     geometry = RoadGeometry(
-        rsu_height_m=float(geo.get("rsu_height_m", 7.5)),
-        lane_offset_m=float(geo.get("lane_offset_m", 8.5)),
-        range_lb_m=float(rng_lb),
-        range_ub_m=float(rng_ub),
+        rsu_height_m=_get(geo, "rsu_height_m", float, 7.5),
+        lane_offset_m=_get(geo, "lane_offset_m", float, 8.5),
+        range_lb_m=rng_lb,
+        range_ub_m=rng_ub,
     )
     arr = doc["array"]
-    bandwidth_hz = float(arr.get("bandwidth_mhz", 20.0)) * 1e6
-    noise_dbm = arr.get("noise_power_dbm")
-    if noise_dbm is None:
+    bandwidth_hz = _get(arr, "bandwidth_mhz", float, 20.0) * 1e6
+    if arr.get("noise_power_dbm") is None:
         noise_dbm = -174.0 + 10.0 * math.log10(bandwidth_hz)
-    tx = arr.get("tx_power_dbm", 10.0)
-    tx_list = tuple(float(v) for v in tx) if isinstance(tx, (list, tuple)) else (float(tx),)
+    else:
+        noise_dbm = _get(arr, "noise_power_dbm", float)
+    tx_list = _get(arr, "tx_power_dbm", _powers, 10.0)
     array = ArrayConfig(
-        num_antennas=int(arr["num_antennas"]),
-        num_rf_chains=int(arr.get("num_rf_chains", 4)),
-        wavelength_m=carrier_to_wavelength(float(arr.get("carrier_ghz", 28.0)) * 1e9),
-        pathloss_exponent=float(arr.get("pathloss_exponent", 2.0)),
-        noise_power_mw=dbm_to_mw(float(noise_dbm)),
+        num_antennas=_get(arr, "num_antennas", int),
+        num_rf_chains=_get(arr, "num_rf_chains", int, 4),
+        wavelength_m=carrier_to_wavelength(_get(arr, "carrier_ghz", float, 28.0) * 1e9),
+        pathloss_exponent=_get(arr, "pathloss_exponent", float, 2.0),
+        noise_power_mw=dbm_to_mw(noise_dbm),
         tx_power_mw=dbm_to_mw(tx_list[0]),
     )
     mot = doc.get("motion", {})
     init = doc.get("initial_state", {})
-    v0 = kmh_to_ms(float(init.get("speed_kmh", 70.0)))
-    sigma_alpha = mot.get("sigma_alpha")
-    if sigma_alpha is None:
+    v0 = kmh_to_ms(_get(init, "speed_kmh", float, 70.0))
+    if mot.get("sigma_alpha") is None:
         # follows the reference setup: 0.1 * (v0_kmh * 1000 / 3600)
         sigma_alpha = 0.1 * v0
+    else:
+        sigma_alpha = _get(mot, "sigma_alpha", float)
     motion = MotionModel(
-        ts=float(mot.get("ts_ms", 10.0)) / 1e3,
-        steering_angle=float(mot.get("steering_angle_rad", math.pi / 2**7)),
-        sigma_alpha=float(sigma_alpha),
-        sigma_omega=float(mot.get("sigma_omega", 10.0**-1.5)),
+        ts=_get(mot, "ts_ms", float, 10.0) / 1e3,
+        steering_angle=_get(mot, "steering_angle_rad", float, math.pi / 2**7),
+        sigma_alpha=sigma_alpha,
+        sigma_omega=_get(mot, "sigma_omega", float, 10.0**-1.5),
     )
     t0 = StateVector(
-        x=float(init.get("x_m", -50.0)),
-        y=float(init.get("y_m", geometry.lane_offset_m)),
+        x=_get(init, "x_m", float, -50.0),
+        y=_get(init, "y_m", float, geometry.lane_offset_m),
         v=v0,
     )
     fad = doc.get("fading", {})
     fading = RicianConfig(
-        k_factor_db=float(fad.get("k_factor_db", 13.0)),
-        block_length=int(fad.get("block_length", 1)),
+        k_factor_db=_get(fad, "k_factor_db", float, 13.0),
+        block_length=_get(fad, "block_length", int, 1),
     )
     trk = doc.get("tracking", {})
     beam = doc.get("beam", {})
-    codewords = beam.get("codewords")
     return Scenario(
         name=name or doc.get("name", "scenario"),
         geometry=geometry,
         array=array,
         motion=motion,
         t0=t0,
-        sigma_eps=float(doc.get("sigma_eps", 0.0)),
+        sigma_eps=_get(doc, "sigma_eps", float, 0.0),
         fading=fading,
-        omega=int(doc.get("omega", 10)),
-        trials=int(doc.get("trials", 1)),
-        horizon=int(doc.get("horizon", 100)),
-        seed=int(doc.get("seed", 0)),
+        omega=_get(doc, "omega", int, 10),
+        trials=_get(doc, "trials", int, 1),
+        horizon=_get(doc, "horizon", int, 100),
+        seed=_get(doc, "seed", int, 0),
         tracker=trk.get("tracker", "proposed"),
         combiner_mode=trk.get("combiner_mode", "optimal"),
-        feedback_period=int(trk.get("feedback_period", 5)),
-        accel_min_step=int(trk.get("accel_min_step", 10)),
-        alpha_thres=float(trk.get("alpha_thres", 0.03)),
+        feedback_period=_get(trk, "feedback_period", int, 5),
+        accel_min_step=_get(trk, "accel_min_step", int, 10),
+        alpha_thres=_get(trk, "alpha_thres", float, 0.03),
         coherence_steps=mot.get("coherence_steps"),
         beam_scheme=beam.get("scheme", "none"),
         codebook_path=beam.get("codebook_path"),
-        codebook_codewords=tuple(codewords) if codewords else None,
+        codebook_codewords=_get(beam, "codewords", tuple) if beam.get("codewords") else None,
         tx_powers_dbm=tx_list if len(tx_list) > 1 else (),
         noise_free=bool(doc.get("noise_free", False)),
     )

@@ -135,26 +135,3 @@ class LongTermAccumulator:
         self._steps += 1
         return long_term(self._model, self._steps)
 
-
-def simulate_trajectory(
-    rng: np.random.Generator,
-    model: MotionModel,
-    t0: StateVector,
-    steps: int,
-    alpha: float | None = None,
-) -> list[StateVector]:
-    """Ground-truth trajectory [t0, ..., t_steps].
-
-    alpha is drawn once from N(0, sigma_alpha^2) when not supplied, matching a
-    coherence period spanning the whole run.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if alpha is None:
-        alpha = rng.normal(0.0, model.sigma_alpha)
-    out = [t0]
-    state = t0
-    for _ in range(steps):
-        state = step_truth(rng, model, state, alpha)
-        out.append(state)
-    return out

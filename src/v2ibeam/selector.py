@@ -24,13 +24,6 @@ from .motion import MotionModel
 class PredictedDirection:
     mean_psi: float
     std_psi: float
-    t: int  # step offset from the switching instant, 1..Omega
-
-
-@dataclass(frozen=True)
-class IdealBpVector:
-    g: np.ndarray
-    omega: int
 
 
 def extrapolate(
@@ -51,7 +44,7 @@ def extrapolate(
 
 
 def direction_distribution(
-    state_pred: np.ndarray, cov_pred: np.ndarray, h: float, t: int = 0
+    state_pred: np.ndarray, cov_pred: np.ndarray, h: float
 ) -> PredictedDirection:
     """First-order Gaussian model of the beam direction at a predicted state."""
     x, y = float(state_pred[0]), float(state_pred[1])
@@ -59,12 +52,12 @@ def direction_distribution(
     k2 = y * y + h * h
     slope = math.pi * k2 / (x * x + k2) ** 1.5
     std = abs(slope) * math.sqrt(max(float(cov_pred[0, 0]), 0.0))
-    return PredictedDirection(mean_psi=mean, std_psi=std, t=t)
+    return PredictedDirection(mean_psi=mean, std_psi=std)
 
 
 def ideal_bp(
     dirs: list[PredictedDirection], num_antennas: int, grid_size: int
-) -> IdealBpVector:
+) -> np.ndarray:
     """Mixture of the predicted direction pdfs scaled so the trapezoid mass
     is 2 pi / M. Components narrower than the grid become a one-sample spike
     of unit mass at the nearest grid point; tails falling outside the grid
@@ -83,20 +76,21 @@ def ideal_bp(
             z = (grid - d.mean_psi) / d.std_psi
             acc += np.exp(-0.5 * z * z) / (d.std_psi * math.sqrt(2.0 * math.pi))
     scale = 2.0 * math.pi / (num_antennas * len(dirs))
-    return IdealBpVector(g=scale * acc, omega=len(dirs))
+    return scale * acc
 
 
-def select(book: Codebook, ideal: IdealBpVector) -> tuple[int, Codeword]:
-    """Pick the codeword whose gain pattern best matches the ideal pattern.
+def select(book: Codebook, ideal: np.ndarray) -> tuple[int, Codeword]:
+    """Pick the codeword whose gain pattern best matches the ideal pattern
+    (the samples ideal_bp returns).
 
     Returns the 1-based codeword index and the codeword; ties go to the
     lowest index.
     """
     if book.size == 0:
         raise ValueError("empty codebook")
-    if book.codewords[0].bp_samples.shape[0] != ideal.g.shape[0]:
+    if book.codewords[0].bp_samples.shape[0] != ideal.shape[0]:
         raise ValueError("codebook and ideal pattern use different grids")
-    scores = np.abs(book.bp_matrix() @ ideal.g) ** 2
+    scores = np.abs(book.bp_matrix() @ ideal) ** 2
     idx = int(np.argmax(scores))  # argmax returns the first (lowest) maximizer
     return idx + 1, book.codewords[idx]
 
@@ -115,22 +109,16 @@ def dft_bin(psi: float, num_antennas: int) -> int:
     return int(round((psi + math.pi) / step)) % num_antennas
 
 
-def dft_scheme_directions(
+def dft_midpoint_direction(
     belief: StateBelief,
     model: MotionModel,
     omega: int,
     h: float,
     alpha_hat: float | None = None,
-) -> tuple[float, float]:
-    """Beam directions of the DFT schemes: scheme 1 the midpoint prediction
-    A^{Omega/2} t_hat, scheme 2 the current estimate t_hat."""
-    if omega > 0 and omega % 2:
+) -> float:
+    """Beam direction of DFT scheme 1: the prediction A^{Omega/2} t_hat at the
+    middle of the switching period (Omega even)."""
+    if omega < 2 or omega % 2:
         raise ValueError("scheme 1 needs an even omega")
-    psi_now = spatial_frequency(float(belief.mean[0]), float(belief.mean[1]), h)
-    if omega == 0:
-        mid_state = belief.mean
-    else:
-        mid_state = extrapolate(belief, model, alpha_hat, omega // 2)[-1][0]
-    psi_mid = spatial_frequency(float(mid_state[0]), float(mid_state[1]), h)
-    return psi_mid, psi_now
-
+    mid_state = extrapolate(belief, model, alpha_hat, omega // 2)[-1][0]
+    return spatial_frequency(float(mid_state[0]), float(mid_state[1]), h)

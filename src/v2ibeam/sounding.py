@@ -26,11 +26,10 @@ DEGENERATE_NORM = 1e-30
 
 @dataclass(frozen=True)
 class Combiner:
-    """Unit-norm combiner vector. For hybrid kind, z = analog @ digital with
-    analog columns of per-entry modulus 1/sqrt(M)."""
+    """Unit-norm combiner vector. A hybrid combiner has z = analog @ digital
+    with analog columns of per-entry modulus 1/sqrt(M)."""
 
     z: np.ndarray
-    kind: str  # optimal | hybrid | dft_manifold
     fallback: bool = False
     analog: np.ndarray | None = None
     digital: np.ndarray | None = None
@@ -55,7 +54,6 @@ class SteeringDictionary:
     """Unit-norm steering atoms d_M(psi_g)/sqrt(M) on a uniform psi grid."""
 
     atoms: np.ndarray  # M x (oversampling * M)
-    grid: np.ndarray
     oversampling: int = 4
     atoms_h: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -69,7 +67,7 @@ class SteeringDictionary:
         grid = -math.pi + 2.0 * math.pi * np.arange(size) / size
         m = np.arange(num_antennas)[:, None]
         atoms = np.exp(1j * m * grid[None, :]) / math.sqrt(num_antennas)
-        return SteeringDictionary(atoms=atoms, grid=grid, oversampling=oversampling)
+        return SteeringDictionary(atoms=atoms, oversampling=oversampling)
 
 
 def optimal_combiner(
@@ -98,19 +96,18 @@ def optimal_combiner(
         if fallback_psi is None:
             raise ValueError("degenerate combiner objective and no fallback direction")
         z = array_response(m, fallback_psi) / math.sqrt(m)
-        return Combiner(z=z, kind="optimal", fallback=True)
-    return Combiner(z=h_dot / norm, kind="optimal")
+        return Combiner(z=z, fallback=True)
+    return Combiner(z=h_dot / norm)
 
 
 def hybrid_approximation(
-    z_opt: Combiner | np.ndarray, dictionary: SteeringDictionary, num_rf_chains: int
+    target: np.ndarray, dictionary: SteeringDictionary, num_rf_chains: int
 ) -> Combiner:
     """Orthogonal-matching-pursuit projection onto N equal-gain atoms.
 
     Greedily picks the dictionary atom most correlated with the residual,
     refits the digital weights by least squares, and renormalizes.
     """
-    target = z_opt.z if isinstance(z_opt, Combiner) else np.asarray(z_opt)
     m = target.shape[0]
     if num_rf_chains < 1:
         raise ValueError("num_rf_chains must be >= 1")
@@ -145,19 +142,13 @@ def hybrid_approximation(
     z = z / norm
     weights = weights / norm
     corr_val = float(abs(np.vdot(target, z)) / max(np.linalg.norm(target), 1e-300))
-    return Combiner(
-        z=z,
-        kind="hybrid",
-        analog=basis,
-        digital=weights,
-        correlation=corr_val,
-    )
+    return Combiner(z=z, analog=basis, digital=weights, correlation=corr_val)
 
 
 def dft_manifold_combiner(psi_pred: float, num_antennas: int) -> Combiner:
     """Array-manifold combiner d_M(psi)/sqrt(M) pointed at the predicted beam."""
     z = array_response(num_antennas, psi_pred) / math.sqrt(num_antennas)
-    return Combiner(z=z, kind="dft_manifold")
+    return Combiner(z=z)
 
 
 def sound_uplink(

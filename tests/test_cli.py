@@ -141,6 +141,11 @@ def test_simulate_unknown_scenario_exits_2(runner, tmp_path):
     (None, "horizonn", 40),
     ("motion", "coherence_steps", 0),
     ("motion", "coherence_steps", 2.5),
+    ("tracking", "feedback_period", 0),
+    ("tracking", "feedback_period", -2),
+    ("array", "tx_power_dbm", []),
+    (None, "sigma_eps", None),
+    (None, "trials", [2]),
 ])
 def test_simulate_malformed_scenario_exits_2(runner, tmp_path, section, key, value):
     doc = json.loads(json.dumps(TINY_SCENARIO))

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from v2ibeam.array_channel import RoadGeometry
 from v2ibeam.codebook import (
+    GS_INITS,
+    GS_ITERS,
     BeamRegion,
     _PatternContext,
     build_codebook,
@@ -282,19 +284,30 @@ def test_build_codebook_multiresolution():
     assert checks["partition_gap"] == 0.0
 
 
-def test_codebook_json_roundtrip_bitstable(tmp_path):
-    book = _small_book()
-    path = tmp_path / "book.json"
-    save_codebook(book, str(path))
-    loaded = load_codebook(str(path))
-    assert loaded.size == book.size
-    for a, b in zip(book.codewords, loaded.codewords):
-        assert np.all(a.u == b.u)  # exact bits via repr round-trip
-        assert a.region.nu_lb == b.region.nu_lb
-        np.testing.assert_allclose(a.bp_samples, b.bp_samples, atol=1e-15)
-    path2 = tmp_path / "book2.json"
-    save_codebook(loaded, str(path2))
-    assert path.read_bytes() == path2.read_bytes()
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    m=st.integers(4, 24),
+    q=st.sampled_from([2, 4]),
+    seed=st.integers(0, 2**16),
+    iters=st.integers(1, 3),
+    inits=st.integers(1, 2),
+)
+@example(m=16, q=8, seed=3, iters=GS_ITERS, inits=GS_INITS)
+def test_codebook_json_roundtrip_bitstable(m, q, seed, iters, inits):
+    book = build_codebook(GEOM, 8.5, m, min(4, m), q, seed=seed, iters=iters, inits=inits,
+                          workers=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, path2 = os.path.join(tmp, "book.json"), os.path.join(tmp, "book2.json")
+        save_codebook(book, path)
+        loaded = load_codebook(path)
+        assert loaded.size == book.size
+        for a, b in zip(book.codewords, loaded.codewords):
+            assert np.all(a.u == b.u)  # exact bits via repr round-trip
+            assert a.region.nu_lb == b.region.nu_lb
+            np.testing.assert_allclose(a.bp_samples, b.bp_samples, atol=1e-15)
+        save_codebook(loaded, path2)
+        with open(path, "rb") as fh, open(path2, "rb") as fh2:
+            assert fh.read() == fh2.read()
 
 
 def test_build_codebook_deterministic():

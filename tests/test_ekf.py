@@ -376,10 +376,10 @@ def test_update_matches_lifted_joseph_form(m, rho, log_scale, kind, seed):
     h_pred, h_dot, grad = jacobian(state, beta, m, h, 0.01, 0.1)
     comb = optimal_combiner(h_dot, grad, q, rho)
     if kind == "hybrid":
-        comb = hybrid_approximation(comb, SteeringDictionary.build(m), min(4, m))
+        comb = hybrid_approximation(comb.z, SteeringDictionary.build(m), min(4, m))
     elif kind == "random":
         z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        comb = Combiner(z=z / np.linalg.norm(z), kind="optimal")
+        comb = Combiner(z=z / np.linalg.norm(z))
     psi = g_of_state(state, h) + rng.normal(0.0, 0.05)
     obs = sound_uplink(rng, comb, ChannelRealization(beta, psi, rho), m)
     post = update(StateBelief(mean=state, cov=q), obs, h_pred, h_dot, grad)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from v2ibeam import harness
 from v2ibeam.array_channel import array_response, spatial_frequency
@@ -11,6 +13,7 @@ from v2ibeam.codebook import build_codebook
 from v2ibeam.harness import (
     TrialRecord,
     bundled_scenario,
+    records_from_csv,
     records_to_csv,
     run_experiment,
     run_trial,
@@ -61,6 +64,20 @@ def test_scenario_validation():
         small_scenario(tracker="flying")
     with pytest.raises(ValueError):
         small_scenario(beam_scheme="mystery")
+    for period in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match="feedback_period"):
+            small_scenario(feedback_period=period)
+    with pytest.raises(ValueError, match="dft1"):
+        small_scenario(beam_scheme="dft1", omega=7)
+    for section, key, value in [
+        ("array", "tx_power_dbm", []),
+        (None, "sigma_eps", None),
+        (None, "trials", [2]),
+        ("tracking", "feedback_period", None),
+        ("geometry", "range_m", 75.0),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            scenario_from_dict(_doc_with(section, key, value))
 
 
 def _doc_with(section, key, value):
@@ -216,6 +233,37 @@ def test_csv_schema():
     assert len(text.splitlines()) == 9
 
 
+_cells = st.one_of(st.floats(), st.floats().map(np.float64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.builds(
+    TrialRecord,
+    trial=st.integers(0, 10**6),
+    step=st.integers(1, 10**6),
+    time_s=_cells, x_true=_cells, y_true=_cells, v_true=_cells,
+    x_hat=_cells, y_hat=_cells, v_hat=_cells,
+    alpha_hat=st.none() | _cells,
+    beam_index=st.none() | st.integers(1, 4096),
+    gain_norm=st.none() | _cells,
+    rate_bps_hz=st.none() | _cells,
+), max_size=5))
+def test_results_csv_roundtrip_is_byte_identical(records):
+    text = records_to_csv(records)
+    assert records_to_csv(records_from_csv(text)) == text
+
+
+def test_results_csv_reader_allows_empty_cells_only_in_optional_columns():
+    row = TrialRecord(0, 1, 0.01, 1.0, 8.5, 19.0, 1.1, 8.4, 19.2, None, None, None, None)
+    text = records_to_csv([row])
+    assert records_from_csv(text) == [row]
+    header, line = text.splitlines()
+    cells = line.split(",")
+    cells[harness.CSV_COLUMNS.index("x_hat")] = ""
+    with pytest.raises(ValueError, match="x_hat"):
+        records_from_csv(header + "\n" + ",".join(cells) + "\n")
+
+
 def test_summary_csv_schema():
     s = small_scenario(trials=1, horizon=8)
     res = run_experiment(s, workers=1)
@@ -236,12 +284,13 @@ def test_feedback_baseline_beats_proposed_on_average():
 
 def test_manifold_baseline_configuration_equivalence():
     # the modified reference tracker is the proposed loop with the manifold
-    # combiner and no acceleration estimation
+    # combiner and no acceleration estimation, whatever combiner_mode says
     s = small_scenario(trials=1, horizon=20, tracker="manifold-baseline")
     rng = np.random.default_rng(0)
-    tracker = harness.make_tracker(s, s.array, rng)
-    assert tracker.combiner_mode == "manifold"
-    assert tracker.estimate_accel is False
+    for mode in harness.COMBINER_MODES:
+        tracker = harness.make_tracker(dataclasses.replace(s, combiner_mode=mode), s.array, rng)
+        assert tracker.combiner_mode == "manifold"
+        assert tracker.estimate_accel is False
     records = run_trial(s, 0)
     assert all(np.isfinite(r.x_hat) for r in records)
     assert all(r.alpha_hat is None for r in records)
@@ -312,6 +361,21 @@ def test_beam_none_leaves_gain_columns_empty():
     assert all(r.gain_norm is None for r in records)
     text = records_to_csv(records)
     assert text.splitlines()[1].endswith(",,,")
+
+
+def test_dft2_runs_with_odd_omega():
+    # scheme 2 steers at the current estimate, so any switching period works
+    s = small_scenario(beam_scheme="dft2", omega=7, trials=1)
+    m, h = s.array.num_antennas, s.geometry.rsu_height_m
+    initial, steps = harness.simulate_tracking_trial(
+        s, np.random.default_rng(np.random.SeedSequence([s.seed, 0])), s.array
+    )
+    records = run_trial(s, 0)
+    for tau in range(0, s.horizon, s.omega):
+        belief = initial if tau == 0 else steps[tau - 1].belief
+        psi = spatial_frequency(float(belief.mean[0]), float(belief.mean[1]), h)
+        expected = round((psi + math.pi) / (2.0 * math.pi / m)) % m + 1
+        assert {r.beam_index for r in records[tau:tau + s.omega]} == {expected}
 
 
 def test_dft1_beam_index_names_the_steered_beam():

@@ -10,7 +10,6 @@ from v2ibeam.motion import (
     MotionModel,
     StateVector,
     long_term,
-    simulate_trajectory,
     step_truth,
     transition_matrices,
 )
@@ -188,20 +187,13 @@ def test_long_term_accumulator_matches_batch():
             transition_matrices(model)[0], steps), rtol=1e-12)
 
 
-def test_simulate_trajectory_zero_steps():
-    rng = np.random.default_rng(1)
-    t0 = StateVector(-50.0, 8.5, 19.0)
-    traj = simulate_trajectory(rng, MotionModel(ts=0.01), t0, 0)
-    assert traj == [t0]
-
-
-def test_simulate_trajectory_deterministic_kinematics():
+def test_step_truth_deterministic_kinematics():
     rng = np.random.default_rng(2)
     phi = 0.2
     model = MotionModel(ts=0.01, steering_angle=phi)
-    t0 = StateVector(-50.0, 8.5, 20.0)
-    traj = simulate_trajectory(rng, model, t0, 200, alpha=0.0)
-    for step, t in enumerate(traj):
+    t = StateVector(-50.0, 8.5, 20.0)
+    for step in range(1, 201):
+        t = step_truth(rng, model, t, 0.0)
         assert t.x == pytest.approx(-50.0 + step * 0.01 * 20.0 * math.cos(phi), rel=1e-12)
         assert t.v == pytest.approx(20.0)
 

@@ -5,12 +5,12 @@ import pytest
 
 from v2ibeam.array_channel import RoadGeometry, array_response, spatial_frequency
 from v2ibeam.codebook import build_codebook, psi_grid
-from v2ibeam.ekf import StateBelief, predict
+from v2ibeam.ekf import StateBelief, g_of_state, predict
 from v2ibeam.motion import MotionModel, transition_matrices
 from v2ibeam.selector import (
     PredictedDirection,
     dft_codeword,
-    dft_scheme_directions,
+    dft_midpoint_direction,
     direction_distribution,
     extrapolate,
     ideal_bp,
@@ -88,20 +88,20 @@ def test_direction_distribution_slope_matches_finite_difference():
 
 def test_ideal_bp_delta_spike():
     m, grid_size = 32, 4096
-    bp = ideal_bp([PredictedDirection(0.5, 0.0, 1)], m, grid_size)
-    nonzero = np.nonzero(bp.g)[0]
+    bp = ideal_bp([PredictedDirection(0.5, 0.0)], m, grid_size)
+    nonzero = np.nonzero(bp)[0]
     assert len(nonzero) == 1
     grid = psi_grid(grid_size)
     assert abs(grid[nonzero[0]] - 0.5) <= math.pi / grid_size + 1e-12
-    mass = np.sum(bp.g) * 2 * math.pi / grid_size
+    mass = np.sum(bp) * 2 * math.pi / grid_size
     assert mass == pytest.approx(2 * math.pi / m, rel=1e-12)
 
 
 def test_ideal_bp_identical_components_collapse():
     m, grid_size = 16, 2048
-    one = ideal_bp([PredictedDirection(0.3, 0.05, 1)], m, grid_size)
-    many = ideal_bp([PredictedDirection(0.3, 0.05, t) for t in range(1, 6)], m, grid_size)
-    np.testing.assert_allclose(many.g, one.g, rtol=1e-12)
+    one = ideal_bp([PredictedDirection(0.3, 0.05)], m, grid_size)
+    many = ideal_bp([PredictedDirection(0.3, 0.05)] * 5, m, grid_size)
+    np.testing.assert_allclose(many, one, rtol=1e-12)
 
 
 def test_ideal_bp_mass_within_two_percent():
@@ -109,11 +109,11 @@ def test_ideal_bp_mass_within_two_percent():
     m, grid_size = 64, 4096
     for _ in range(20):
         dirs = [
-            PredictedDirection(rng.uniform(-2.5, 2.5), rng.uniform(0.0, 0.1), t)
-            for t in range(1, 11)
+            PredictedDirection(rng.uniform(-2.5, 2.5), rng.uniform(0.0, 0.1))
+            for _ in range(10)
         ]
         bp = ideal_bp(dirs, m, grid_size)
-        mass = np.sum(bp.g) * 2 * math.pi / grid_size
+        mass = np.sum(bp) * 2 * math.pi / grid_size
         assert mass == pytest.approx(2 * math.pi / m, rel=0.02)
 
 
@@ -129,33 +129,30 @@ def small_book():
 
 def test_select_recovers_own_codeword(small_book):
     for q, word in enumerate(small_book.codewords, start=1):
-        ideal = ideal_bp([PredictedDirection(0.0, 0.0, 1)], 16, small_book.grid_size)
-        ideal = type(ideal)(g=word.bp_samples.copy(), omega=1)
-        q_hat, chosen = select(small_book, ideal)
+        q_hat, chosen = select(small_book, word.bp_samples.copy())
         assert q_hat == q
         assert np.all(chosen.u == word.u)
 
 
 def test_select_scaling_invariance(small_book):
-    dirs = [PredictedDirection(-1.2, 0.08, t) for t in range(1, 6)]
+    dirs = [PredictedDirection(-1.2, 0.08)] * 5
     ideal = ideal_bp(dirs, 16, small_book.grid_size)
     q_base, _ = select(small_book, ideal)
     for c in (0.25, 7.0):
-        scaled = type(ideal)(g=c * ideal.g, omega=ideal.omega)
-        assert select(small_book, scaled)[0] == q_base
+        assert select(small_book, c * ideal)[0] == q_base
 
 
 def test_select_matches_exhaustive_scan(small_book):
     rng = np.random.default_rng(2)
     for _ in range(25):
         dirs = [
-            PredictedDirection(rng.uniform(-2.8, 2.8), rng.uniform(0, 0.15), t)
-            for t in range(1, 8)
+            PredictedDirection(rng.uniform(-2.8, 2.8), rng.uniform(0, 0.15))
+            for _ in range(7)
         ]
         ideal = ideal_bp(dirs, 16, small_book.grid_size)
         q_hat, _ = select(small_book, ideal)
         scores = [
-            abs(float(np.dot(w.bp_samples, ideal.g))) ** 2
+            abs(float(np.dot(w.bp_samples, ideal))) ** 2
             for w in small_book.codewords
         ]
         assert q_hat == int(np.argmax(scores)) + 1
@@ -169,7 +166,7 @@ def test_select_winner_dominates_at_its_direction(small_book):
     for _ in range(10):
         x = rng.uniform(-70, 70)
         psi = spatial_frequency(x, 8.5, 7.5)
-        ideal = ideal_bp([PredictedDirection(psi, 0.0, 1)], 16, small_book.grid_size)
+        ideal = ideal_bp([PredictedDirection(psi, 0.0)], 16, small_book.grid_size)
         _, word = select(small_book, ideal)
         idx = int(np.argmin(np.abs(grid - psi)))
         best = max(w.bp_samples[idx] for w in small_book.codewords)
@@ -180,7 +177,7 @@ def test_select_empty_codebook_fails(small_book):
     import dataclasses
 
     empty = dataclasses.replace(small_book, codewords=())
-    ideal = ideal_bp([PredictedDirection(0.0, 0.0, 1)], 16, small_book.grid_size)
+    ideal = ideal_bp([PredictedDirection(0.0, 0.0)], 16, small_book.grid_size)
     with pytest.raises(ValueError):
         select(empty, ideal)
 
@@ -194,27 +191,20 @@ def test_dft_codeword_on_grid_point():
     assert np.linalg.norm(c) == pytest.approx(1.0)
 
 
-def test_dft_schemes_zero_omega_coincide():
-    belief, model = _belief(), _model()
-    psi_mid, psi_now = dft_scheme_directions(belief, model, 0, 7.5)
-    np.testing.assert_allclose(dft_codeword(psi_mid, 16), dft_codeword(psi_now, 16))
-
-
 def test_dft_schemes_odd_omega_rejected():
     with pytest.raises(ValueError):
-        dft_scheme_directions(_belief(), _model(), 5, 7.5)
+        dft_midpoint_direction(_belief(), _model(), 5, 7.5)
 
 
 def test_dft_scheme1_points_at_midpoint_prediction():
     belief, model = _belief(), _model()
     omega = 10
-    got_mid, got_now = dft_scheme_directions(belief, model, omega, 7.5)
-    c1, c2 = dft_codeword(got_mid, 64), dft_codeword(got_now, 64)
-    mid = extrapolate(belief, model, None, omega // 2)[-1][0]
-    psi_mid = spatial_frequency(float(mid[0]), float(mid[1]), 7.5)
-    np.testing.assert_allclose(c1, dft_codeword(psi_mid, 64))
-    psi_now = spatial_frequency(-20.0, 8.5, 7.5)
-    np.testing.assert_allclose(c2, dft_codeword(psi_now, 64))
+    for alpha_hat in (None, 0.8):
+        got = dft_midpoint_direction(belief, model, omega, 7.5, alpha_hat)
+        mid = belief
+        for _ in range(omega // 2):
+            mid = predict(mid, model, alpha_hat)
+        assert got == spatial_frequency(float(mid.mean[0]), float(mid.mean[1]), 7.5)
 
 
 def test_dft_scheme1_outperforms_scheme2_for_fast_vehicle():
@@ -225,8 +215,8 @@ def test_dft_scheme1_outperforms_scheme2_for_fast_vehicle():
     gains1, gains2 = [], []
     for x0 in np.linspace(-15.0, 15.0, 12):
         belief = StateBelief(mean=np.array([x0, 8.5, 25.0]), cov=np.zeros((3, 3)))
-        psi_mid, psi_now = dft_scheme_directions(belief, model, omega, h)
-        c1, c2 = dft_codeword(psi_mid, m), dft_codeword(psi_now, m)
+        psi_mid = dft_midpoint_direction(belief, model, omega, h)
+        c1, c2 = dft_codeword(psi_mid, m), dft_codeword(g_of_state(belief.mean, h), m)
         state = belief.mean.copy()
         a, b, _, _ = transition_matrices(model)
         for _ in range(omega):
