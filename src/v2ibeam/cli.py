@@ -114,27 +114,16 @@ def _resolve_scenario(ref: str):
         ) from None
 
 
-def _apply_overrides(scenario, trials, seed, horizon, tracker, combiner, tx_power):
-    updates = {}
-    if trials is not None:
-        updates["trials"] = trials
-    if seed is not None:
-        updates["seed"] = seed
-    if horizon is not None:
-        updates["horizon"] = horizon
-    if tracker is not None:
-        updates["tracker"] = tracker
-    if combiner is not None:
-        updates["combiner_mode"] = combiner
+def _apply_overrides(scenario, tx_power=(), **fields):
+    """The scenario with every field given a value replaced; --tx-power
+    replaces the power sweep, whose first power the array carries."""
+    updates = {key: value for key, value in fields.items() if value is not None}
     if tx_power:
-        if len(tx_power) == 1:
-            updates["tx_powers_dbm"] = ()
-            updates["array"] = dataclasses.replace(
-                scenario.array, tx_power_mw=dbm_to_mw(tx_power[0])
-            )
-        else:
-            updates["tx_powers_dbm"] = tuple(tx_power)
-    return dataclasses.replace(scenario, **updates) if updates else scenario
+        updates["tx_powers_dbm"] = tuple(tx_power)
+        updates["array"] = dataclasses.replace(
+            scenario.array, tx_power_mw=dbm_to_mw(tx_power[0])
+        )
+    return dataclasses.replace(scenario, **updates)
 
 
 @main.command()
@@ -162,8 +151,8 @@ def simulate(scenario_ref, trials, seed, horizon, tracker, combiner, tx_power,
              codebook_path, out_dir, formats, workers):
     """Run a Monte-Carlo experiment from a scenario file or bundled name."""
     scenario = _resolve_scenario(scenario_ref)
-    scenario = _apply_overrides(scenario, trials, seed, horizon, tracker,
-                                combiner, tx_power)
+    scenario = _apply_overrides(scenario, tx_power, trials=trials, seed=seed,
+                                horizon=horizon, tracker=tracker, combiner_mode=combiner)
     book = load_codebook(codebook_path) if codebook_path else None
     results = run_experiment(scenario, workers=workers, book=book)
     os.makedirs(out_dir, exist_ok=True)
@@ -219,8 +208,10 @@ def simulate(scenario_ref, trials, seed, horizon, tracker, combiner, tx_power,
 @guarded
 def track_demo(scenario_ref, steps, seed, every, csv_path):
     """Trace one tracking trial: true vs estimated state per sounding step."""
+    if every < 1:
+        raise ValueError(f"--every must be >= 1, got {every}")
     scenario = _resolve_scenario(scenario_ref)
-    scenario = _apply_overrides(scenario, 1, seed, steps, None, None, ())
+    scenario = _apply_overrides(scenario, trials=1, seed=seed, horizon=steps)
     records = run_trial(scenario, 0)
     if csv_path:
         with open(csv_path, "w", encoding="utf-8") as fh:

@@ -376,6 +376,8 @@ def build_codebook(
 ) -> Codebook:
     """Design a codebook; a list of codeword counts yields the concatenation
     of independent per-resolution designs."""
+    if num_antennas < 1:
+        raise ValueError(f"num_antennas must be >= 1, got {num_antennas}")
     resolutions = (codewords,) if isinstance(codewords, int) else tuple(codewords)
     tasks = []
     for res_idx, q in enumerate(resolutions):

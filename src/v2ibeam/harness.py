@@ -50,9 +50,8 @@ BEAM_SCHEMES = ("none", "codebook", "dft1", "dft2", "random")
 NMSE_DENOM_FLOOR = 0.5  # meters / m-per-s; excludes near-zero crossings
 
 
-def _is_positive_int(value) -> bool:
-    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
-            and value >= 1)
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -68,23 +67,25 @@ class Scenario:
     trials: int
     horizon: int
     seed: int
-    tracker: str = "proposed"
-    combiner_mode: str = "optimal"
-    feedback_period: int = 5
-    accel_min_step: int = 10
-    alpha_thres: float = 0.03
-    coherence_steps: int | None = None
-    beam_scheme: str = "none"
-    codebook_path: str | None = None
-    codebook_codewords: tuple[int, ...] | None = None
-    tx_powers_dbm: tuple[float, ...] = ()
-    noise_free: bool = False
+    tracker: str
+    combiner_mode: str
+    feedback_period: int
+    accel_min_step: int
+    alpha_thres: float
+    coherence_steps: int | None
+    beam_scheme: str
+    codebook_path: str | None
+    codebook_codewords: tuple[int, ...] | None
+    tx_powers_dbm: tuple[float, ...]
+    noise_free: bool
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.omega < 1:
-            raise ValueError("omega must be >= 1")
+        coherence = 1 if self.coherence_steps is None else self.coherence_steps
+        for key, value in [("trials", self.trials), ("omega", self.omega),
+                           ("feedback_period", self.feedback_period),
+                           ("coherence_steps", coherence)]:
+            if not (_is_integer(value) and value >= 1):
+                raise ValueError(f"{key} must be a positive integer, got {value!r}")
         if self.horizon < self.omega:
             raise ValueError("horizon must cover at least one beam period")
         if self.tracker not in TRACKERS:
@@ -95,14 +96,8 @@ class Scenario:
             raise ValueError(f"beam scheme 'dft1' needs an even omega, got {self.omega}")
         if self.combiner_mode not in COMBINER_MODES:
             raise ValueError(f"unknown combiner_mode {self.combiner_mode!r}")
-        if not _is_positive_int(self.feedback_period):
-            raise ValueError(
-                f"feedback_period must be a positive integer, got {self.feedback_period!r}"
-            )
-        if self.coherence_steps is not None and not _is_positive_int(self.coherence_steps):
-            raise ValueError(
-                f"coherence_steps must be a positive integer, got {self.coherence_steps!r}"
-            )
+        if not self.tx_powers_dbm:
+            raise ValueError("tx_powers_dbm needs at least one transmit power")
 
 
 @dataclass(frozen=True)
@@ -174,7 +169,7 @@ class FeedbackTracker:
         )
 
 
-def make_tracker(scenario: Scenario, array: ArrayConfig, rng):
+def make_tracker(scenario: Scenario, rng):
     """The tracker the scenario names. The manifold baseline is the proposed
     EKF sounding through the array-manifold combiner with the acceleration
     estimator disabled; its update equations are unchanged."""
@@ -183,7 +178,7 @@ def make_tracker(scenario: Scenario, array: ArrayConfig, rng):
     baseline = scenario.tracker == "manifold-baseline"
     return Tracker(
         scenario.geometry,
-        array,
+        scenario.array,
         scenario.motion,
         scenario.t0,
         scenario.sigma_eps,
@@ -196,7 +191,7 @@ def make_tracker(scenario: Scenario, array: ArrayConfig, rng):
 
 
 def simulate_tracking_trial(
-    scenario: Scenario, rng: np.random.Generator, array: ArrayConfig
+    scenario: Scenario, rng: np.random.Generator
 ) -> tuple[StateBelief, list[TrackStep]]:
     """Run the tracking loop over one simulated trajectory.
 
@@ -205,7 +200,7 @@ def simulate_tracking_trial(
     the acceleration estimate. Returns the tracker's initial belief and the
     per-step log.
     """
-    tracker = make_tracker(scenario, array, rng)
+    tracker = make_tracker(scenario, rng)
     initial_belief = tracker.belief
     fading = FadingProcess(rng, scenario.fading)
     coherence = scenario.coherence_steps or scenario.horizon
@@ -229,7 +224,6 @@ def _assign_beams(
     book: Codebook | None,
     rng: np.random.Generator,
     initial_belief: StateBelief,
-    num_antennas: int,
 ):
     """Choose the downlink beamformer at each switching instant and map it
     onto the steps it serves. Returns per-step (index, vector) or None."""
@@ -237,6 +231,7 @@ def _assign_beams(
     if scheme == "none":
         return [None] * len(steps)
     h = scenario.geometry.rsu_height_m
+    num_antennas = scenario.array.num_antennas
     assignments: list[tuple[int, np.ndarray] | None] = [None] * len(steps)
     for tau in range(0, len(steps), scenario.omega):
         belief = initial_belief if tau == 0 else steps[tau - 1].belief
@@ -272,20 +267,16 @@ def _assign_beams(
 def run_trial(
     scenario: Scenario,
     trial_idx: int,
-    array: ArrayConfig | None = None,
     book: Codebook | None = None,
 ) -> list[TrialRecord]:
     """One independent trial: tracking plus periodic beam selection."""
-    array = array if array is not None else scenario.array
     if book is None:
         book = resolve_codebook(scenario)
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, trial_idx]))
-    initial_belief, steps = simulate_tracking_trial(scenario, rng, array)
+    initial_belief, steps = simulate_tracking_trial(scenario, rng)
+    assignments = _assign_beams(scenario, steps, book, rng, initial_belief)
 
-    assignments = _assign_beams(
-        scenario, steps, book, rng, initial_belief, array.num_antennas
-    )
-
+    array = scenario.array
     h = scenario.geometry.rsu_height_m
     records: list[TrialRecord] = []
     for st, beam in zip(steps, assignments):
@@ -368,14 +359,14 @@ def summarize(
 _WORKER_STATE: dict = {}
 
 
-def _init_worker(scenario: Scenario, array: ArrayConfig, book: Codebook | None):
+def _init_worker(scenario: Scenario, book: Codebook | None):
     single_blas_thread()
-    _WORKER_STATE["args"] = (scenario, array, book)
+    _WORKER_STATE["args"] = (scenario, book)
 
 
 def _worker_trial(trial_idx: int) -> list[TrialRecord]:
-    scenario, array, book = _WORKER_STATE["args"]
-    return run_trial(scenario, trial_idx, array=array, book=book)
+    scenario, book = _WORKER_STATE["args"]
+    return run_trial(scenario, trial_idx, book=book)
 
 
 def resolve_codebook(scenario: Scenario, book: Codebook | None = None) -> Codebook | None:
@@ -409,25 +400,23 @@ def run_experiment(
     any worker count.
     """
     book = resolve_codebook(scenario, book)
-    powers = scenario.tx_powers_dbm or (10.0 * math.log10(scenario.array.tx_power_mw),)
     workers = default_workers() if workers is None else workers
     results = []
-    for power in powers:
-        array = replace(scenario.array, tx_power_mw=dbm_to_mw(power))
+    for power in scenario.tx_powers_dbm:
+        at_power = replace(
+            scenario, array=replace(scenario.array, tx_power_mw=dbm_to_mw(power))
+        )
         if workers > 1 and scenario.trials > 1:
             with ProcessPoolExecutor(
                 max_workers=workers,
                 initializer=_init_worker,
-                initargs=(scenario, array, book),
+                initargs=(at_power, book),
             ) as pool:
                 per_trial = list(
                     pool.map(_worker_trial, range(scenario.trials), chunksize=8)
                 )
         else:
-            per_trial = [
-                run_trial(scenario, t, array=array, book=book)
-                for t in range(scenario.trials)
-            ]
+            per_trial = [run_trial(at_power, t, book=book) for t in range(scenario.trials)]
         records = [r for trial in per_trial for r in trial]
         label = f"{scenario.name}@{power:g}dBm"
         summary = summarize(records, label, power, scenario.horizon)
@@ -476,6 +465,8 @@ def records_from_csv(text: str) -> list[TrialRecord]:
                 continue
             try:
                 values.append(parse(cell))
+                if name == "step" and values[-1] < 1:
+                    raise ValueError("steps count from 1")
             except (TypeError, ValueError):
                 raise ValueError(
                     f"results CSV line {reader.line_num}: bad {name} cell {cell!r}"
@@ -506,133 +497,148 @@ def summaries_to_csv(summaries: list[MetricSummary]) -> str:
 # everything becomes SI / linear at load time.
 # ---------------------------------------------------------------------------
 
-# Every key a scenario document may use, per section (None: the top level).
-SCENARIO_KEYS = {
-    None: {"name", "seed", "trials", "horizon", "omega", "sigma_eps", "noise_free",
-           "geometry", "array", "motion", "initial_state", "fading", "tracking", "beam"},
-    "geometry": {"rsu_height_m", "lane_offset_m", "range_m"},
-    "array": {"num_antennas", "num_rf_chains", "carrier_ghz", "bandwidth_mhz",
-              "pathloss_exponent", "noise_power_dbm", "tx_power_dbm"},
-    "motion": {"ts_ms", "steering_angle_rad", "sigma_alpha", "sigma_omega",
-               "coherence_steps"},
-    "initial_state": {"x_m", "y_m", "speed_kmh"},
-    "fading": {"k_factor_db", "block_length"},
-    "tracking": {"tracker", "combiner_mode", "feedback_period", "accel_min_step",
-                 "alpha_thres"},
-    "beam": {"scheme", "codebook_path", "codewords"},
-}
+_ABSENT = object()
 
 
-def _check_keys(doc: dict) -> None:
-    """Reject keys a scenario document does not define, so a misspelt key
-    fails instead of silently falling back to its default."""
-    for section, allowed in SCENARIO_KEYS.items():
-        part = doc if section is None else doc.get(section, {})
-        where = "top level" if section is None else f"section {section!r}"
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _kind(what: str, accepts, convert=lambda value: value):
+    """A kind of scenario value: convert(value) for a value it accepts, else a
+    TypeError that says what the key takes."""
+
+    def read(value):
+        if not accepts(value):
+            raise TypeError(f"must be {what}")
+        return convert(value)
+
+    return read
+
+
+_integer = _kind("an integer", _is_integer, int)
+_number = _kind("a number", _is_number, float)
+_positive = _kind("a positive number", lambda value: _is_number(value) and value > 0, float)
+_boolean = _kind("true or false", lambda value: isinstance(value, bool))
+_string = _kind("a string", lambda value: isinstance(value, str))
+_integers = _kind("a list of integers",
+                  lambda value: isinstance(value, list) and all(map(_is_integer, value)),
+                  tuple)
+_range = _kind("a [lower, upper] pair of numbers",
+               lambda value: _is_numbers(value) and len(value) == 2,
+               lambda value: tuple(map(float, value)))
+_powers = _kind("a number or a non-empty list of numbers",
+                lambda value: _is_number(value) or (_is_numbers(value) and len(value) > 0),
+                lambda value: tuple(map(float, value if isinstance(value, list) else [value])))
+
+
+class _Section:
+    """One object of a scenario document, consumed key by key: take() pops a
+    key, and done() rejects every key no take() asked for, so a misspelt key
+    fails instead of falling back to its default."""
+
+    def __init__(self, part, where: str):
         if not isinstance(part, dict):
             raise ValueError(f"scenario {where} must be an object")
-        unknown = sorted(set(part) - allowed)
-        if unknown:
-            raise ValueError(f"unknown scenario keys at {where}: {', '.join(unknown)}")
+        self.left = dict(part)
+        self.where = where
+
+    def take(self, key: str, kind, default=_ABSENT, nullable: bool = False):
+        """kind(value) of the key; default when the key is absent, or null and
+        nullable. A value kind rejects is a ValueError that names the key."""
+        value = self.left.pop(key, _ABSENT)
+        if value is _ABSENT or (nullable and value is None):
+            if default is _ABSENT:
+                raise ValueError(f"scenario key {key!r} is required")
+            return default
+        try:
+            return kind(value)
+        except TypeError as exc:
+            raise ValueError(f"scenario key {key!r} = {value!r}: {exc}") from None
+
+    def section(self, key: str, required: bool = False) -> _Section:
+        part = self.take(key, lambda value: value, _ABSENT if required else {})
+        return _Section(part, f"section {key!r}")
+
+    def done(self) -> None:
+        if self.left:
+            raise ValueError(
+                f"unknown scenario keys at {self.where}: {', '.join(sorted(self.left))}"
+            )
 
 
-def _get(part: dict, key: str, convert, default=None):
-    """convert(part[key]) (default when absent); a value convert rejects is a
-    ValueError that names the key."""
-    value = part.get(key, default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"scenario key {key!r} = {value!r}: {exc}") from None
-
-
-def _range(value) -> tuple[float, float]:
-    lb, ub = value
-    return float(lb), float(ub)
-
-
-def _powers(value) -> tuple[float, ...]:
-    powers = tuple(map(float, value)) if isinstance(value, (list, tuple)) else (float(value),)
-    if not powers:
-        raise ValueError("needs at least one transmit power")
-    return powers
-
-
-def scenario_from_dict(doc: dict, name: str | None = None) -> Scenario:
-    _check_keys(doc)
-    geo = doc["geometry"]
-    rng_lb, rng_ub = _get(geo, "range_m", _range, (-75.0, 75.0))
+def scenario_from_dict(doc: dict) -> Scenario:
+    top = _Section(doc, "top level")
+    geo = top.section("geometry", required=True)
+    range_lb_m, range_ub_m = geo.take("range_m", _range, (-75.0, 75.0))
     geometry = RoadGeometry(
-        rsu_height_m=_get(geo, "rsu_height_m", float, 7.5),
-        lane_offset_m=_get(geo, "lane_offset_m", float, 8.5),
-        range_lb_m=rng_lb,
-        range_ub_m=rng_ub,
+        rsu_height_m=geo.take("rsu_height_m", _number, 7.5),
+        lane_offset_m=geo.take("lane_offset_m", _number, 8.5),
+        range_lb_m=range_lb_m,
+        range_ub_m=range_ub_m,
     )
-    arr = doc["array"]
-    bandwidth_hz = _get(arr, "bandwidth_mhz", float, 20.0) * 1e6
-    if arr.get("noise_power_dbm") is None:
-        noise_dbm = -174.0 + 10.0 * math.log10(bandwidth_hz)
-    else:
-        noise_dbm = _get(arr, "noise_power_dbm", float)
-    tx_list = _get(arr, "tx_power_dbm", _powers, 10.0)
+    arr = top.section("array", required=True)
+    bandwidth_hz = arr.take("bandwidth_mhz", _positive, 20.0) * 1e6
+    thermal_noise_dbm = -174.0 + 10.0 * math.log10(bandwidth_hz)
+    tx_powers_dbm = arr.take("tx_power_dbm", _powers, (10.0,))
     array = ArrayConfig(
-        num_antennas=_get(arr, "num_antennas", int),
-        num_rf_chains=_get(arr, "num_rf_chains", int, 4),
-        wavelength_m=carrier_to_wavelength(_get(arr, "carrier_ghz", float, 28.0) * 1e9),
-        pathloss_exponent=_get(arr, "pathloss_exponent", float, 2.0),
-        noise_power_mw=dbm_to_mw(noise_dbm),
-        tx_power_mw=dbm_to_mw(tx_list[0]),
+        num_antennas=arr.take("num_antennas", _integer),
+        num_rf_chains=arr.take("num_rf_chains", _integer, 4),
+        wavelength_m=carrier_to_wavelength(arr.take("carrier_ghz", _positive, 28.0) * 1e9),
+        pathloss_exponent=arr.take("pathloss_exponent", _number, 2.0),
+        noise_power_mw=dbm_to_mw(
+            arr.take("noise_power_dbm", _number, thermal_noise_dbm, nullable=True)
+        ),
+        tx_power_mw=dbm_to_mw(tx_powers_dbm[0]),
     )
-    mot = doc.get("motion", {})
-    init = doc.get("initial_state", {})
-    v0 = kmh_to_ms(_get(init, "speed_kmh", float, 70.0))
-    if mot.get("sigma_alpha") is None:
-        # follows the reference setup: 0.1 * (v0_kmh * 1000 / 3600)
-        sigma_alpha = 0.1 * v0
-    else:
-        sigma_alpha = _get(mot, "sigma_alpha", float)
-    motion = MotionModel(
-        ts=_get(mot, "ts_ms", float, 10.0) / 1e3,
-        steering_angle=_get(mot, "steering_angle_rad", float, math.pi / 2**7),
-        sigma_alpha=sigma_alpha,
-        sigma_omega=_get(mot, "sigma_omega", float, 10.0**-1.5),
-    )
+    init = top.section("initial_state")
+    v0 = kmh_to_ms(init.take("speed_kmh", _number, 70.0))
     t0 = StateVector(
-        x=_get(init, "x_m", float, -50.0),
-        y=_get(init, "y_m", float, geometry.lane_offset_m),
+        x=init.take("x_m", _number, -50.0),
+        y=init.take("y_m", _number, geometry.lane_offset_m),
         v=v0,
     )
-    fad = doc.get("fading", {})
+    mot = top.section("motion")
+    motion = MotionModel(
+        ts=mot.take("ts_ms", _number, 10.0) / 1e3,
+        steering_angle=mot.take("steering_angle_rad", _number, math.pi / 2**7),
+        # follows the reference setup: 0.1 * (v0_kmh * 1000 / 3600)
+        sigma_alpha=mot.take("sigma_alpha", _number, 0.1 * v0, nullable=True),
+        sigma_omega=mot.take("sigma_omega", _number, 10.0**-1.5),
+    )
+    fad = top.section("fading")
     fading = RicianConfig(
-        k_factor_db=_get(fad, "k_factor_db", float, 13.0),
-        block_length=_get(fad, "block_length", int, 1),
+        k_factor_db=fad.take("k_factor_db", _number, 13.0),
+        block_length=fad.take("block_length", _integer, 1),
     )
-    trk = doc.get("tracking", {})
-    beam = doc.get("beam", {})
-    return Scenario(
-        name=name or doc.get("name", "scenario"),
-        geometry=geometry,
-        array=array,
-        motion=motion,
-        t0=t0,
-        sigma_eps=_get(doc, "sigma_eps", float, 0.0),
-        fading=fading,
-        omega=_get(doc, "omega", int, 10),
-        trials=_get(doc, "trials", int, 1),
-        horizon=_get(doc, "horizon", int, 100),
-        seed=_get(doc, "seed", int, 0),
-        tracker=trk.get("tracker", "proposed"),
-        combiner_mode=trk.get("combiner_mode", "optimal"),
-        feedback_period=_get(trk, "feedback_period", int, 5),
-        accel_min_step=_get(trk, "accel_min_step", int, 10),
-        alpha_thres=_get(trk, "alpha_thres", float, 0.03),
-        coherence_steps=mot.get("coherence_steps"),
-        beam_scheme=beam.get("scheme", "none"),
-        codebook_path=beam.get("codebook_path"),
-        codebook_codewords=_get(beam, "codewords", tuple) if beam.get("codewords") else None,
-        tx_powers_dbm=tx_list if len(tx_list) > 1 else (),
-        noise_free=bool(doc.get("noise_free", False)),
+    trk = top.section("tracking")
+    beam = top.section("beam")
+    fields = dict(
+        name=top.take("name", _string, "scenario"),
+        sigma_eps=top.take("sigma_eps", _number, 0.0),
+        omega=top.take("omega", _integer, 10),
+        trials=top.take("trials", _integer, 1),
+        horizon=top.take("horizon", _integer, 100),
+        seed=top.take("seed", _integer, 0),
+        noise_free=top.take("noise_free", _boolean, False),
+        coherence_steps=mot.take("coherence_steps", _integer, None, nullable=True),
+        tracker=trk.take("tracker", _string, "proposed"),
+        combiner_mode=trk.take("combiner_mode", _string, "optimal"),
+        feedback_period=trk.take("feedback_period", _integer, 5),
+        accel_min_step=trk.take("accel_min_step", _integer, 10),
+        alpha_thres=trk.take("alpha_thres", _number, 0.03),
+        beam_scheme=beam.take("scheme", _string, "none"),
+        codebook_path=beam.take("codebook_path", _string, None, nullable=True),
+        codebook_codewords=beam.take("codewords", _integers, None, nullable=True),
     )
+    for part in (top, geo, arr, init, mot, fad, trk, beam):
+        part.done()
+    return Scenario(geometry=geometry, array=array, motion=motion, t0=t0, fading=fading,
+                    tx_powers_dbm=tx_powers_dbm, **fields)
 
 
 def load_scenario(path: str) -> Scenario:

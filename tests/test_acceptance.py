@@ -274,7 +274,7 @@ def test_criterion_9_ekf_sanity():
                 harness.bundled_scenario(name), trials=1
             )
             rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 0]))
-            _, steps = harness.simulate_tracking_trial(scenario, rng, scenario.array)
+            _, steps = harness.simulate_tracking_trial(scenario, rng)
             for st in steps:
                 cov = st.belief.cov
                 assert np.max(np.abs(cov - cov.T)) <= 1e-10

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from v2ibeam.cli import main
+from v2ibeam.harness import TrialRecord, records_to_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -83,6 +84,18 @@ def test_design_codebook_multiresolution(runner, tmp_path):
     assert doc["resolutions"] == [4, 8]
 
 
+@pytest.mark.parametrize("antennas", ["0", "-2"])
+def test_design_codebook_rejects_array_without_antennas(runner, tmp_path, antennas):
+    out = tmp_path / "x.json"
+    r = runner.invoke(main, ["design-codebook", "--antennas", antennas, "--codewords", "4",
+                             "--workers", "1", "--out", str(out)], prog_name="v2ibeam")
+    assert r.exit_code == 2
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert err["error"] == "validation"
+    assert "num_antennas" in err["message"]
+    assert not out.exists()
+
+
 def test_design_codebook_rejects_bad_geometry(runner, tmp_path):
     r = runner.invoke(main, ["design-codebook", "--antennas", "8",
                              "--codewords", "4", "--rsu-height", "-1",
@@ -146,10 +159,23 @@ def test_simulate_unknown_scenario_exits_2(runner, tmp_path):
     ("array", "tx_power_dbm", []),
     (None, "sigma_eps", None),
     (None, "trials", [2]),
+    (None, "trials", 2.7),
+    (None, "omega", 20.9),
+    ("array", "num_antennas", 64.9),
+    ("fading", "block_length", 1.5),
+    (None, "sigma_eps", True),
+    (None, "sigma_eps", "0.03"),
+    ("array", "tx_power_dbm", [True]),
+    (None, "noise_free", "false"),
+    (None, "name", 5),
+    ("beam", "codewords", ["4"]),
+    ("beam", "codebook_path", 1),
+    ("array", "bandwidth_mhz", 0),
+    ("array", "carrier_ghz", 0),
 ])
 def test_simulate_malformed_scenario_exits_2(runner, tmp_path, section, key, value):
     doc = json.loads(json.dumps(TINY_SCENARIO))
-    (doc if section is None else doc[section])[key] = value
+    (doc if section is None else doc.setdefault(section, {}))[key] = value
     r = runner.invoke(main, ["simulate", write_scenario(tmp_path, doc), "--workers", "1",
                              "--out-dir", str(tmp_path / "out")], prog_name="v2ibeam")
     assert r.exit_code == 2
@@ -185,12 +211,36 @@ def test_track_demo_stdout(runner):
     assert len(r.output.splitlines()) >= 3
 
 
+@pytest.mark.parametrize("every", ["0", "-3"])
+def test_track_demo_rejects_every_below_one(runner, every):
+    r = runner.invoke(main, ["track-demo", "--steps", "4", "--every", every],
+                      prog_name="v2ibeam")
+    assert r.exit_code == 2
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert "--every" in err["message"]
+
+
 def test_track_demo_csv(runner, tmp_path):
     path = tmp_path / "trace.csv"
     r = invoke(runner, ["track-demo", "--steps", "10", "--csv", str(path)])
     assert r.exit_code == 0, r.output
     assert path.exists()
     assert len(path.read_text().splitlines()) == 11
+
+
+def test_single_power_simulate_matches_track_demo(runner, tmp_path):
+    # 3 dBm does not survive a dBm -> mW -> dBm round trip, so the run must
+    # use the power the file gives, not one recovered from the array
+    doc = json.loads(json.dumps(TINY_SCENARIO))
+    doc["array"]["tx_power_dbm"] = 3.0
+    scen = write_scenario(tmp_path, doc)
+    out, trace = tmp_path / "out", tmp_path / "trace.csv"
+    r = invoke(runner, ["simulate", scen, "--trials", "1", "--workers", "1",
+                        "--out-dir", str(out)])
+    assert r.exit_code == 0, r.output
+    r = invoke(runner, ["track-demo", "--scenario", scen, "--csv", str(trace)])
+    assert r.exit_code == 0, r.output
+    assert (out / "tiny_results.csv").read_bytes() == trace.read_bytes()
 
 
 def test_track_demo_custom_scenario(runner, tmp_path):
@@ -219,11 +269,23 @@ def test_report_roundtrip(runner, tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
-def test_report_rejects_malformed_csv(runner, tmp_path):
+_STEP_ZERO = records_to_csv([
+    TrialRecord(0, 0, 0.0, -50.0, 8.5, 19.4, -50.1, 8.5, 19.5, None, None, None, None),
+    TrialRecord(0, 1, 0.01, -49.8, 8.5, 19.4, -49.9, 8.5, 19.5, None, None, None, None),
+])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a,b,c\n1,2,3\n", "missing columns"),
+    (_STEP_ZERO, "line 2: bad step cell '0'"),
+], ids=["foreign-header", "step-zero"])
+def test_report_rejects_malformed_csv(runner, tmp_path, text, message):
     bad = tmp_path / "bad.csv"
-    bad.write_text("a,b,c\n1,2,3\n")
+    bad.write_text(text)
     r = runner.invoke(main, ["report", str(bad)], prog_name="v2ibeam")
     assert r.exit_code == 2
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert message in err["message"]
 
 
 def test_numerical_failure_exits_3(runner, tmp_path, monkeypatch):

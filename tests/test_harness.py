@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def test_scenario_units_and_defaults():
     assert 10 * math.log10(s.array.noise_power_mw) == pytest.approx(-100.9897, abs=1e-3)
     # sigma_alpha defaults to a tenth of the initial speed in m/s
     assert s.motion.sigma_alpha == pytest.approx(0.1 * s.t0.v)
-    assert s.tx_powers_dbm == ()
+    assert s.tx_powers_dbm == (20.0,)
 
 
 def test_scenario_validation():
@@ -104,6 +105,86 @@ def test_scenario_rejects_unknown_keys(section, key):
 def test_scenario_rejects_non_object_section():
     with pytest.raises(ValueError, match="tracking"):
         scenario_from_dict(dict(SMALL_DOC, tracking=["proposed"]))
+
+
+# A scenario document that writes out every key; the sets below give each key's kind.
+FULL_DOC = {
+    "name": "unit_full", "seed": 3, "trials": 2, "horizon": 24, "omega": 8,
+    "sigma_eps": 0.0316, "noise_free": False,
+    "geometry": {"rsu_height_m": 7.5, "lane_offset_m": 8.5, "range_m": [-75.0, 75.0]},
+    "array": {"num_antennas": 8, "num_rf_chains": 2, "carrier_ghz": 28.0,
+              "bandwidth_mhz": 20.0, "pathloss_exponent": 2.0, "noise_power_dbm": -100.0,
+              "tx_power_dbm": [0.0, 20.0]},
+    "motion": {"ts_ms": 10.0, "steering_angle_rad": 0.0245, "sigma_alpha": 1.9,
+               "sigma_omega": 0.0316, "coherence_steps": 6},
+    "initial_state": {"x_m": -50.0, "y_m": 8.5, "speed_kmh": 70.0},
+    "fading": {"k_factor_db": 13.0, "block_length": 2},
+    "tracking": {"tracker": "proposed", "combiner_mode": "optimal", "feedback_period": 5,
+                 "accel_min_step": 10, "alpha_thres": 0.03},
+    "beam": {"scheme": "codebook", "codebook_path": "book.json", "codewords": [4, 8]},
+}
+STRINGS = {"name", "tracker", "combiner_mode", "scheme", "codebook_path"}
+INTEGERS = {"seed", "trials", "horizon", "omega", "num_antennas", "num_rf_chains",
+            "coherence_steps", "block_length", "feedback_period", "accel_min_step"}
+LISTS = {"range_m", "tx_power_dbm", "codewords"}
+NULLABLE = [("motion", "sigma_alpha"), ("array", "noise_power_dbm"),
+            ("motion", "coherence_steps"), ("beam", "codebook_path"), ("beam", "codewords")]
+SECTIONS = ("geometry", "array", "motion", "initial_state", "fading", "tracking", "beam")
+ALL_KEYS = [(None, k) for k in FULL_DOC if k not in SECTIONS] + [
+    (section, k) for section in SECTIONS for k in FULL_DOC[section]]
+
+_fractions = st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer())
+_numbers = st.integers(-10**6, 10**6) | st.floats(allow_nan=False)
+WRONG = {
+    "integer": _fractions | st.booleans(),
+    "number": st.booleans() | st.just("0.03") | _numbers.map(str),
+    "string": _numbers,
+    "noise_free": st.just("false") | st.integers(0, 1),
+    "range_m": st.lists(_numbers, max_size=5).filter(lambda v: len(v) != 2)
+    | st.tuples(st.booleans() | st.just("1.0"), _numbers).map(list) | _numbers,
+    "tx_power_dbm": st.just([]) | st.lists(st.booleans() | st.just("20"), min_size=1)
+    | st.text(max_size=3),
+    "codewords": st.lists(st.just("4") | _fractions | st.booleans(), min_size=1)
+    | st.integers(1, 64),
+}
+
+
+def _kind(key):
+    if key in LISTS or key == "noise_free":
+        return key
+    return "string" if key in STRINGS else "integer" if key in INTEGERS else "number"
+
+
+def _full_doc_with(section, key, value):
+    doc = json.loads(json.dumps(FULL_DOC))
+    (doc if section is None else doc[section])[key] = value
+    return doc
+
+
+def test_full_doc_loads_every_key():
+    s = scenario_from_dict(FULL_DOC)
+    assert (s.name, s.noise_free, s.coherence_steps) == ("unit_full", False, 6)
+    assert (s.tx_powers_dbm, s.codebook_codewords) == ((0.0, 20.0), (4, 8))
+    assert 10 * math.log10(s.array.noise_power_mw) == pytest.approx(-100.0)
+
+
+@pytest.mark.parametrize("section,key", ALL_KEYS, ids=[k for _, k in ALL_KEYS])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scenario_rejects_a_value_of_the_wrong_kind(section, key, data):
+    wrong = WRONG[_kind(key)]
+    if (section, key) not in NULLABLE:
+        wrong = wrong | st.none()
+    value = data.draw(wrong)
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        scenario_from_dict(_full_doc_with(section, key, value))
+
+
+@pytest.mark.parametrize("section,key", NULLABLE, ids=[k for _, k in NULLABLE])
+def test_scenario_null_means_default(section, key):
+    omitted = json.loads(json.dumps(FULL_DOC))
+    del omitted[section][key]
+    assert scenario_from_dict(_full_doc_with(section, key, None)) == scenario_from_dict(omitted)
 
 
 @pytest.mark.parametrize("value", [0, -1, 2.5, True, "5"])
@@ -276,7 +357,7 @@ def test_summary_csv_schema():
 
 def test_feedback_baseline_beats_proposed_on_average():
     base = small_scenario(trials=24, horizon=40, beam_scheme="none",
-                          tx_powers_dbm=())
+                          tx_powers_dbm=(20.0,))
     prop = run_experiment(base, workers=1)[0].summary
     fb = run_experiment(dataclasses.replace(base, tracker="feedback"), workers=1)[0].summary
     assert fb.nmse_x <= prop.nmse_x
@@ -288,7 +369,7 @@ def test_manifold_baseline_configuration_equivalence():
     s = small_scenario(trials=1, horizon=20, tracker="manifold-baseline")
     rng = np.random.default_rng(0)
     for mode in harness.COMBINER_MODES:
-        tracker = harness.make_tracker(dataclasses.replace(s, combiner_mode=mode), s.array, rng)
+        tracker = harness.make_tracker(dataclasses.replace(s, combiner_mode=mode), rng)
         assert tracker.combiner_mode == "manifold"
         assert tracker.estimate_accel is False
     records = run_trial(s, 0)
@@ -368,7 +449,7 @@ def test_dft2_runs_with_odd_omega():
     s = small_scenario(beam_scheme="dft2", omega=7, trials=1)
     m, h = s.array.num_antennas, s.geometry.rsu_height_m
     initial, steps = harness.simulate_tracking_trial(
-        s, np.random.default_rng(np.random.SeedSequence([s.seed, 0])), s.array
+        s, np.random.default_rng(np.random.SeedSequence([s.seed, 0]))
     )
     records = run_trial(s, 0)
     for tau in range(0, s.horizon, s.omega):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from v2ibeam.array_channel import RoadGeometry, array_response, spatial_frequency
 from v2ibeam.codebook import build_codebook, psi_grid
@@ -134,12 +136,23 @@ def test_select_recovers_own_codeword(small_book):
         assert np.all(chosen.u == word.u)
 
 
-def test_select_scaling_invariance(small_book):
-    dirs = [PredictedDirection(-1.2, 0.08)] * 5
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    dirs=st.lists(st.builds(PredictedDirection, st.floats(-2.8, 2.8), st.floats(0.0, 0.15)),
+                  min_size=1, max_size=7),
+    k=st.integers(-60, 60),
+    c=st.floats(1e-6, 1e6),
+)
+@example(dirs=[PredictedDirection(-1.2, 0.08)] * 5, k=-2, c=7.0)
+def test_select_scaling_invariance(small_book, dirs, k, c):
+    # a power-of-two scale is exact, so the choice is identical; any other
+    # positive scale may only flip a near-tie
     ideal = ideal_bp(dirs, 16, small_book.grid_size)
     q_base, _ = select(small_book, ideal)
-    for c in (0.25, 7.0):
-        assert select(small_book, c * ideal)[0] == q_base
+    assert select(small_book, 2.0**k * ideal)[0] == q_base
+    scores = np.abs(small_book.bp_matrix() @ ideal) ** 2
+    q_c, _ = select(small_book, c * ideal)
+    assert scores[q_c - 1] >= scores.max() * (1.0 - 1e-12)
 
 
 def test_select_matches_exhaustive_scan(small_book):
