@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_channel import RoadGeometry
-from .sounding import SteeringDictionary, hybrid_approximation
+from .sounding import SteeringDictionary, hybrid_approximation, orthogonal_matching_pursuit
 
 DEFAULT_GRID = 4096
 GS_ITERS = 50
@@ -203,25 +203,40 @@ def position_pdf_to_bp(
     return g
 
 
+def _check_grid(grid_size: int, num_antennas: int) -> None:
+    if grid_size < num_antennas:
+        raise ValueError(
+            f"grid_size (L) = {grid_size} is below num_antennas (M) = {num_antennas}: "
+            "the pattern grid must have at least one point per antenna"
+        )
+
+
 class _PatternContext:
-    """Steering matrix on the psi grid, cached per (M, grid size)."""
+    """Gain-pattern transforms on the psi grid, cached per (M, grid size).
+
+    The pattern p(psi_l) = sum_m u_m e^{-j m psi_l} on the cell-centred grid
+    psi_l = psi_0 + l delta, psi_0 = -pi + delta/2, is a length-L DFT of the
+    phase-ramped vector e^{-j m psi_0} u_m, and the back-projection
+    (1/L) sum_l p_l e^{j m psi_l} is the inverse DFT with the conjugate ramp.
+    Both need L >= M.
+    """
 
     _cache: dict[tuple[int, int], "_PatternContext"] = {}
 
     def __init__(self, num_antennas: int, grid_size: int):
-        grid = psi_grid(grid_size)
-        m = np.arange(num_antennas)[:, None]
-        self.steering = np.exp(1j * m * grid[None, :])  # M x L
+        _check_grid(grid_size, num_antennas)
         self.num_antennas = num_antennas
         self.grid_size = grid_size
         self.delta = 2.0 * math.pi / grid_size
+        psi0 = -math.pi + self.delta / 2.0
+        self.ramp = np.exp(-1j * psi0 * np.arange(num_antennas))
         self._atom_bp: dict[int, np.ndarray] = {}
 
     def atom_bp(self, dictionary: SteeringDictionary) -> np.ndarray:
+        """Gain pattern of every dictionary atom, one row per atom."""
         key = dictionary.oversampling
         if key not in self._atom_bp:
-            p = self.steering.conj().T @ dictionary.atoms
-            self._atom_bp[key] = np.abs(p) ** 2 / self.num_antennas
+            self._atom_bp[key] = self.bp(dictionary.atoms.T)
         return self._atom_bp[key]
 
     @classmethod
@@ -232,14 +247,15 @@ class _PatternContext:
         return cls._cache[key]
 
     def pattern(self, u: np.ndarray) -> np.ndarray:
-        return self.steering.conj().T @ u
+        """Pattern on the grid of u, or of each row of a block of vectors."""
+        return np.fft.fft(self.ramp * u, n=self.grid_size)
 
     def bp(self, u: np.ndarray) -> np.ndarray:
         return np.abs(self.pattern(u)) ** 2 / self.num_antennas
 
     def backproject(self, p: np.ndarray) -> np.ndarray:
-        # Uniform full-period grid makes steering @ steering^H = L I.
-        return self.steering @ p / self.grid_size
+        """Least-squares vector (rows) whose pattern is closest to p (rows)."""
+        return self.ramp.conj() * np.fft.ifft(p)[..., : self.num_antennas]
 
     def mse(self, g_target: np.ndarray, bp: np.ndarray) -> float:
         return float(np.sum((g_target - bp) ** 2) * self.delta)
@@ -278,32 +294,31 @@ def fit_codeword(
             best_u = u
 
     # Alternating-projection candidates from random phase starts, iterated as
-    # one M x inits batch so the grid transforms are single matmuls.
+    # one inits x M block: one OMP call and one FFT pair per iteration.
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(grid_size, inits))
-    batch = ctx.steering @ (amplitude[:, None] * np.exp(1j * phases)) / grid_size
+    batch = ctx.backproject(amplitude * np.exp(1j * phases.T))
     for _ in range(iters):
-        for col in range(inits):
-            batch[:, col] = hybrid_approximation(
-                batch[:, col], dictionary, num_rf_chains
-            ).z
-        patterns = ctx.steering.conj().T @ batch  # L x inits
-        bps = np.abs(patterns) ** 2 / num_antennas
-        errs = np.sum((bps - g_target[:, None]) ** 2, axis=0) * ctx.delta
-        col = int(np.argmin(errs))
-        if errs[col] < best_mse:
-            best_mse = float(errs[col])
-            best_u = batch[:, col].copy()
+        batch, _ = orthogonal_matching_pursuit(batch, dictionary, num_rf_chains)
+        patterns = ctx.pattern(batch)  # inits x L
         mags = np.abs(patterns)
-        unit = np.where(mags > 0, patterns / np.where(mags > 0, mags, 1.0), 1.0)
-        batch = ctx.steering @ (amplitude[:, None] * unit) / grid_size
+        err = np.square(mags) / num_antennas - g_target
+        errs = np.sum(err * err, axis=1) * ctx.delta
+        row = int(np.argmin(errs))
+        if errs[row] < best_mse:
+            best_mse = float(errs[row])
+            best_u = batch[row]
+        # keep each pattern's phase, take the target magnitude (phase 0 at nulls)
+        null = mags == 0.0
+        patterns[null] = 1.0
+        mags[null] = 1.0
+        batch = ctx.backproject(patterns * (amplitude / mags))
 
     # Feasible projection of the zero-phase target.
     consider(hybrid_approximation(ctx.backproject(amplitude.astype(complex)),
                                   dictionary, num_rf_chains).z)
 
     # Best single steering atom, expressed as a hybrid vector.
-    atom_bp = ctx.atom_bp(dictionary)
-    atom_mse = np.sum((atom_bp - g_target[:, None]) ** 2, axis=0) * ctx.delta
+    atom_mse = np.sum((ctx.atom_bp(dictionary) - g_target) ** 2, axis=1) * ctx.delta
     consider(hybrid_approximation(dictionary.atoms[:, int(np.argmin(atom_mse))],
                                   dictionary, num_rf_chains).z)
 
@@ -378,6 +393,7 @@ def build_codebook(
     of independent per-resolution designs."""
     if num_antennas < 1:
         raise ValueError(f"num_antennas must be >= 1, got {num_antennas}")
+    _check_grid(grid_size, num_antennas)
     resolutions = (codewords,) if isinstance(codewords, int) else tuple(codewords)
     tasks = []
     for res_idx, q in enumerate(resolutions):

@@ -83,6 +83,7 @@ class Scenario:
         coherence = 1 if self.coherence_steps is None else self.coherence_steps
         for key, value in [("trials", self.trials), ("omega", self.omega),
                            ("feedback_period", self.feedback_period),
+                           ("accel_min_step", self.accel_min_step),
                            ("coherence_steps", coherence)]:
             if not (_is_integer(value) and value >= 1):
                 raise ValueError(f"{key} must be a positive integer, got {value!r}")
@@ -521,7 +522,10 @@ def _kind(what: str, accepts, convert=lambda value: value):
 
 
 _integer = _kind("an integer", _is_integer, int)
+_count = _kind("a non-negative integer", lambda value: _is_integer(value) and value >= 0, int)
 _number = _kind("a number", _is_number, float)
+_nonnegative = _kind("a non-negative number",
+                     lambda value: _is_number(value) and value >= 0, float)
 _positive = _kind("a positive number", lambda value: _is_number(value) and value > 0, float)
 _boolean = _kind("true or false", lambda value: isinstance(value, bool))
 _string = _kind("a string", lambda value: isinstance(value, str))
@@ -589,14 +593,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
         num_antennas=arr.take("num_antennas", _integer),
         num_rf_chains=arr.take("num_rf_chains", _integer, 4),
         wavelength_m=carrier_to_wavelength(arr.take("carrier_ghz", _positive, 28.0) * 1e9),
-        pathloss_exponent=arr.take("pathloss_exponent", _number, 2.0),
+        pathloss_exponent=arr.take("pathloss_exponent", _positive, 2.0),
         noise_power_mw=dbm_to_mw(
             arr.take("noise_power_dbm", _number, thermal_noise_dbm, nullable=True)
         ),
         tx_power_mw=dbm_to_mw(tx_powers_dbm[0]),
     )
     init = top.section("initial_state")
-    v0 = kmh_to_ms(init.take("speed_kmh", _number, 70.0))
+    v0 = kmh_to_ms(init.take("speed_kmh", _nonnegative, 70.0))
     t0 = StateVector(
         x=init.take("x_m", _number, -50.0),
         y=init.take("y_m", _number, geometry.lane_offset_m),
@@ -623,7 +627,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         omega=top.take("omega", _integer, 10),
         trials=top.take("trials", _integer, 1),
         horizon=top.take("horizon", _integer, 100),
-        seed=top.take("seed", _integer, 0),
+        seed=top.take("seed", _count, 0),
         noise_free=top.take("noise_free", _boolean, False),
         coherence_steps=mot.take("coherence_steps", _integer, None, nullable=True),
         tracker=trk.take("tracker", _string, "proposed"),

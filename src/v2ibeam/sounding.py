@@ -15,7 +15,7 @@ matching pursuit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +32,14 @@ class Combiner:
     z: np.ndarray
     fallback: bool = False
     analog: np.ndarray | None = None
-    digital: np.ndarray | None = None
     correlation: float | None = None
+
+    @property
+    def digital(self) -> np.ndarray | None:
+        """Digital weights of a hybrid combiner: the w with analog @ w = z."""
+        if self.analog is None:
+            return None
+        return np.linalg.pinv(self.analog) @ self.z
 
 
 @dataclass(frozen=True)
@@ -51,15 +57,11 @@ class Sounding:
 
 @dataclass(frozen=True)
 class SteeringDictionary:
-    """Unit-norm steering atoms d_M(psi_g)/sqrt(M) on a uniform psi grid."""
+    """Unit-norm steering atoms d_M(psi_g)/sqrt(M) on the uniform grid
+    psi_g = -pi + 2 pi g / G, G = oversampling * M."""
 
-    atoms: np.ndarray  # M x (oversampling * M)
+    atoms: np.ndarray  # M x G
     oversampling: int = 4
-    atoms_h: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # conjugate transpose kept once for the OMP correlation step
-        object.__setattr__(self, "atoms_h", self.atoms.conj().T)
 
     @staticmethod
     def build(num_antennas: int, oversampling: int = 4) -> "SteeringDictionary":
@@ -100,49 +102,64 @@ def optimal_combiner(
     return Combiner(z=h_dot / norm)
 
 
-def hybrid_approximation(
-    target: np.ndarray, dictionary: SteeringDictionary, num_rf_chains: int
-) -> Combiner:
-    """Orthogonal-matching-pursuit projection onto N equal-gain atoms.
+def orthogonal_matching_pursuit(
+    targets: np.ndarray, dictionary: SteeringDictionary, num_rf_chains: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal matching pursuit of each row t of a (B, M) block onto N atoms.
 
-    Greedily picks the dictionary atom most correlated with the residual,
-    refits the digital weights by least squares, and renormalizes.
+    On the uniform grid the correlations with every atom are one FFT of the
+    sign-alternated residual, atoms^H r = fft((-1)^m r, n=G) / sqrt(M); only
+    the argmax over atoms not yet chosen for the row is used. The least-squares
+    refit keeps an orthonormal basis of the chosen atoms, extended by
+    Gram-Schmidt applied twice. Any <= M distinct atoms of this Vandermonde
+    dictionary are linearly independent, so the basis never degenerates.
+
+    Returns the unit-norm fits z = (t - r)/||t - r|| as a (B, M) block and the
+    (B, N) chosen atom indices in pick order. A zero row has z equal to its
+    first chosen atom.
     """
-    m = target.shape[0]
+    rows, m = targets.shape
     if num_rf_chains < 1:
         raise ValueError("num_rf_chains must be >= 1")
     if num_rf_chains > m:
         raise ValueError("num_rf_chains cannot exceed the antenna count")
-    atoms, atoms_h = dictionary.atoms, dictionary.atoms_h
-    chosen: list[int] = []
-    residual = target.astype(complex)
-    weights = np.zeros(0, dtype=complex)
-    for _ in range(num_rf_chains):
-        corr = np.abs(atoms_h @ residual)
-        corr[chosen] = -1.0
-        chosen.append(int(np.argmax(corr)))
-        basis = atoms[:, chosen]
-        gram = basis.conj().T @ basis
-        rhs = basis.conj().T @ target
-        try:
-            weights = np.linalg.solve(
-                gram + 1e-12 * np.trace(gram).real * np.eye(len(chosen)), rhs
-            )
-        except np.linalg.LinAlgError:
-            weights, *_ = np.linalg.lstsq(basis, target, rcond=None)
-        residual = target - basis @ weights
-    basis = atoms[:, chosen]
-    z = basis @ weights
-    norm = np.linalg.norm(z)
-    if norm == 0:
-        weights = np.zeros(num_rf_chains, dtype=complex)
-        weights[0] = 1.0
-        z = basis @ weights
-        norm = np.linalg.norm(z)
-    z = z / norm
-    weights = weights / norm
+    atoms = dictionary.atoms
+    size = atoms.shape[1]
+    sign = (-1.0) ** np.arange(m)
+    residual = targets.astype(complex)
+    basis = np.empty((rows, num_rf_chains, m), dtype=complex)
+    chosen = np.empty((rows, num_rf_chains), dtype=np.intp)
+    for k in range(num_rf_chains):
+        corr = np.abs(np.fft.fft(residual * sign, n=size))
+        if k:
+            corr[np.arange(rows)[:, None], chosen[:, :k]] = -1.0
+        chosen[:, k] = np.argmax(corr, axis=1)
+        q = atoms.T[chosen[:, k]]
+        if k:
+            kept = basis[:, :k]
+            for _ in range(2):
+                q -= np.matmul(np.vecdot(kept, q[:, None, :])[:, None, :], kept)[:, 0]
+        q /= np.sqrt(np.vecdot(q, q).real)[:, None]
+        basis[:, k] = q
+        residual -= np.vecdot(q, residual)[:, None] * q
+    fit = targets - residual
+    norm = np.sqrt(np.vecdot(fit, fit).real)
+    zero = norm == 0.0
+    if zero.any():
+        norm[zero] = 1.0
+        fit[zero] = atoms.T[chosen[zero, 0]]
+    return fit / norm[:, None], chosen
+
+
+def hybrid_approximation(
+    target: np.ndarray, dictionary: SteeringDictionary, num_rf_chains: int
+) -> Combiner:
+    """Hybrid combiner closest to one target: the B=1 call of
+    orthogonal_matching_pursuit, with the chosen atoms as analog columns."""
+    z, chosen = orthogonal_matching_pursuit(target[None, :], dictionary, num_rf_chains)
+    z = z[0]
     corr_val = float(abs(np.vdot(target, z)) / max(np.linalg.norm(target), 1e-300))
-    return Combiner(z=z, analog=basis, digital=weights, correlation=corr_val)
+    return Combiner(z=z, analog=dictionary.atoms[:, chosen[0]], correlation=corr_val)
 
 
 def dft_manifold_combiner(psi_pred: float, num_antennas: int) -> Combiner:

@@ -172,6 +172,12 @@ def test_simulate_unknown_scenario_exits_2(runner, tmp_path):
     ("beam", "codebook_path", 1),
     ("array", "bandwidth_mhz", 0),
     ("array", "carrier_ghz", 0),
+    ("array", "pathloss_exponent", -2.0),
+    ("array", "pathloss_exponent", 0),
+    ("tracking", "accel_min_step", -5),
+    ("tracking", "accel_min_step", 0),
+    ("initial_state", "speed_kmh", -10.0),
+    (None, "seed", -1),
 ])
 def test_simulate_malformed_scenario_exits_2(runner, tmp_path, section, key, value):
     doc = json.loads(json.dumps(TINY_SCENARIO))
@@ -321,6 +327,24 @@ def test_codebook_pipeline_design_simulate_report(runner, tmp_path):
     r = invoke(runner, ["report", str(out / "tiny_results.csv")])
     assert r.exit_code == 0
     assert "mean_gain_norm" in r.output
+
+
+def test_simulate_rejects_codebook_grid_below_antennas(runner, tmp_path):
+    book = tmp_path / "book8.json"
+    r = invoke(runner, ["design-codebook", "--antennas", "8", "--rf-chains", "2",
+                        "--codewords", "4", "--seed", "1",
+                        "--out", str(book), "--workers", "1"])
+    assert r.exit_code == 0, r.output
+    doc = json.loads(book.read_text())
+    doc["L"] = 4
+    book.write_text(json.dumps(doc))
+    scen = write_scenario(tmp_path, dict(TINY_SCENARIO, beam={"scheme": "codebook"}))
+    r = runner.invoke(main, ["simulate", scen, "--workers", "1", "--codebook", str(book),
+                             "--out-dir", str(tmp_path / "out")], prog_name="v2ibeam")
+    assert r.exit_code == 2
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert "grid_size (L) = 4" in err["message"] and "num_antennas (M) = 8" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_svg_output_deterministic(runner, tmp_path):

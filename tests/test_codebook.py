@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import tempfile
@@ -218,6 +219,45 @@ def test_target_pattern_peak_grows_toward_edge_and_warns():
         position_pdf_to_bp(positive[-1], 8.5, 7.5, 64)
 
 
+def _steering(m, grid_size):
+    """Explicit M x L steering matrix e^{j m psi_l} on the cell-centred grid."""
+    return np.exp(1j * np.arange(m)[:, None] * psi_grid(grid_size)[None, :])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.integers(1, 128), extra=st.integers(0, 4096), seed=st.integers(0, 2**32 - 1))
+@example(m=128, extra=0, seed=0)
+@example(m=1, extra=4095, seed=1)
+def test_pattern_transforms_match_the_steering_matrix(m, extra, seed):
+    grid_size = min(m + extra, 4096)
+    ctx = _PatternContext.get(m, grid_size)
+    steering = _steering(m, grid_size)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+    p = rng.standard_normal((3, grid_size)) + 1j * rng.standard_normal((3, grid_size))
+    want_p = u @ steering.conj()
+    want_u = p @ steering.T / grid_size
+    assert np.max(np.abs(ctx.pattern(u) - want_p)) <= 1e-12 * np.max(np.abs(want_p))
+    assert np.max(np.abs(ctx.backproject(p) - want_u)) <= 1e-12 * np.max(np.abs(want_u))
+    np.testing.assert_array_equal(ctx.pattern(u[1]), ctx.pattern(u)[1])
+
+
+def test_pattern_grid_must_cover_the_antennas():
+    with pytest.raises(ValueError, match=r"grid_size.*num_antennas"):
+        build_codebook(GEOM, 8.5, 16, 4, 2, grid_size=15, workers=1)
+    book = build_codebook(GEOM, 8.5, 8, 2, 2, seed=0, iters=1, inits=1, workers=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "book.json")
+        save_codebook(book, path)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["L"] = 7
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ValueError, match=r"grid_size \(L\) = 7.*num_antennas \(M\) = 8"):
+            load_codebook(path)
+
+
 def test_fit_recovers_realizable_atom_pattern():
     m = 16
     d = SteeringDictionary.build(m)
@@ -235,7 +275,7 @@ def test_fit_beats_best_single_steering_column():
     ctx = _PatternContext.get(m, 4096)
     regions = divide_regions(GEOM, 8.5, 16)
     rng = np.random.default_rng(1)
-    dft_bp = np.abs(ctx.steering.conj().T @ dft.atoms) ** 2 / m
+    dft_bp = np.abs(_steering(m, 4096).conj().T @ dft.atoms) ** 2 / m
     for r in (regions[8], regions[12], regions[-1]):
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", category=RuntimeWarning)

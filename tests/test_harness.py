@@ -187,6 +187,15 @@ def test_scenario_null_means_default(section, key):
     assert scenario_from_dict(_full_doc_with(section, key, None)) == scenario_from_dict(omitted)
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("initial_state", "speed_kmh", 0.0),
+    (None, "seed", 0),
+    ("tracking", "accel_min_step", 1),
+])
+def test_scenario_accepts_range_edges(section, key, value):
+    scenario_from_dict(_doc_with(section, key, value))
+
+
 @pytest.mark.parametrize("value", [0, -1, 2.5, True, "5"])
 def test_scenario_rejects_bad_coherence_steps(value):
     with pytest.raises(ValueError, match="coherence_steps"):

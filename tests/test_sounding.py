@@ -13,6 +13,7 @@ from v2ibeam.sounding import (
     dft_manifold_combiner,
     hybrid_approximation,
     optimal_combiner,
+    orthogonal_matching_pursuit,
     sound_uplink,
 )
 
@@ -206,3 +207,64 @@ def test_optimal_combiner_matches_dense_eigenvector(m, rho, seed):
     oracle = np.linalg.solve(low.conj().T, vecs[:, -1])
     oracle /= np.linalg.norm(oracle)
     assert abs(np.vdot(z, oracle)) >= 1 - 1e-9
+
+
+def dense_omp(target, atoms, num_rf_chains):
+    """Reference OMP: correlations atoms^H r by matrix product and the refit by
+    ridge-regularised normal equations. Also returns, per step, the gap
+    between the best and second-best correlation not yet chosen."""
+    chosen, gaps = [], []
+    residual = target.astype(complex)
+    weights = np.zeros(0, dtype=complex)
+    for _ in range(num_rf_chains):
+        corr = np.abs(atoms.conj().T @ residual)
+        corr[chosen] = -1.0
+        top = np.sort(corr)[::-1]
+        gaps.append(top[0] - top[1] if len(top) > 1 else math.inf)
+        chosen.append(int(np.argmax(corr)))
+        basis = atoms[:, chosen]
+        gram = basis.conj().T @ basis
+        weights = np.linalg.solve(
+            gram + 1e-12 * np.trace(gram).real * np.eye(len(chosen)), basis.conj().T @ target
+        )
+        residual = target - basis @ weights
+    z = atoms[:, chosen] @ weights
+    norm = np.linalg.norm(z)
+    z = atoms[:, chosen[0]] if norm == 0 else z / norm
+    return z, chosen, gaps
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 128),
+    data=st.data(),
+    oversampling=st.sampled_from([1, 2, 4]),
+    kinds=st.lists(st.sampled_from(["random", "random", "zero", "atom"]), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_omp_kernel_matches_dense_reference(m, data, oversampling, kinds, seed):
+    n = data.draw(st.integers(1, min(8, m)), label="num_rf_chains")
+    d = SteeringDictionary.build(m, oversampling)
+    rng = np.random.default_rng(seed)
+    targets = rng.standard_normal((len(kinds), m)) + 1j * rng.standard_normal((len(kinds), m))
+    for b, kind in enumerate(kinds):
+        if kind == "zero":  # falls back to its first chosen atom
+            targets[b] = 0.0
+        elif kind == "atom":
+            gain = complex(*rng.standard_normal(2))
+            targets[b] = gain * d.atoms[:, rng.integers(d.atoms.shape[1])]
+    z, chosen = orthogonal_matching_pursuit(targets, d, n)
+    for b, target in enumerate(targets):
+        z_ref, chosen_ref, gaps = dense_omp(target, d.atoms, n)
+        scale = np.linalg.norm(target)
+        # compare picks while the reference's choice is clear; once the residual
+        # is rounding noise (an atom target) the order of later picks is arbitrary
+        for k, gap in enumerate(gaps):
+            if scale and gap <= 1e-9 * scale:
+                break
+            assert chosen[b, k] == chosen_ref[k]
+        assert 1.0 - abs(np.vdot(z[b], z_ref)) <= 1e-12
+        assert np.linalg.norm(z[b]) == pytest.approx(1.0, abs=1e-12)
+        z_one, chosen_one = orthogonal_matching_pursuit(target[None, :], d, n)
+        np.testing.assert_array_equal(z_one[0], z[b])
+        np.testing.assert_array_equal(chosen_one[0], chosen[b])
