@@ -12,6 +12,8 @@ power; the average link SNR follows a log-distance path-loss law.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,6 +99,15 @@ def spatial_frequency(x: float, y: float, h: float) -> float:
     return math.pi * x / math.sqrt(r2)
 
 
+@functools.lru_cache(maxsize=16)
+def antenna_ramp(num_antennas: int) -> np.ndarray:
+    """The read-only vector j m, m = 0..M-1: the phase slope of d_M(psi) and
+    the factor of its psi-derivative dd_M/dpsi = j m d_M(psi)."""
+    ramp = 1j * np.arange(num_antennas)
+    ramp.setflags(write=False)
+    return ramp
+
+
 def array_response(num_antennas: int, psi: float) -> np.ndarray:
     """ULA response vector with entries e^{j m psi}, m = 0..M-1.
 
@@ -104,8 +115,7 @@ def array_response(num_antennas: int, psi: float) -> np.ndarray:
     """
     if num_antennas < 1:
         raise ValueError("num_antennas must be >= 1")
-    m = np.arange(num_antennas)
-    return np.exp(1j * m * psi)
+    return np.exp(antenna_ramp(num_antennas) * psi)
 
 
 def average_snr(cfg: ArrayConfig, distance_m: float) -> float:
@@ -124,9 +134,9 @@ def draw_fading(rng: np.random.Generator, ric: RicianConfig) -> complex:
     """
     k = ric.k_linear
     phi0 = rng.uniform(0.0, 2.0 * math.pi)
-    los = np.exp(1j * phi0)
+    los = cmath.exp(1j * phi0)
     if math.isinf(k):
-        return complex(los)
+        return los
     nlos = (rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2.0)
     return complex(math.sqrt(k / (k + 1.0)) * los + math.sqrt(1.0 / (k + 1.0)) * nlos)
 

@@ -20,11 +20,18 @@ from .array_channel import (
     ArrayConfig,
     ChannelRealization,
     RoadGeometry,
+    antenna_ramp,
     array_response,
     average_snr,
     spatial_frequency,
 )
-from .motion import LongTermAccumulator, MotionModel, StateVector, transition_matrices
+from .motion import (
+    LongTermAccumulator,
+    MotionModel,
+    StateVector,
+    process_noise,
+    transition_matrices,
+)
 
 INIT_COV_REG = 1e-9  # scaled by ||t0||^2
 
@@ -61,10 +68,10 @@ def predict(
 ) -> StateBelief:
     """One-step prediction. With an accepted acceleration estimate the mean
     gains b*alpha_hat and the acceleration covariance term is dropped."""
-    a, b, q_alpha, q_omega = transition_matrices(model)
+    a, b, _, q_omega = transition_matrices(model)
     if alpha_hat is None:
         mean = a @ belief.mean
-        cov = a @ belief.cov @ a.T + q_alpha + q_omega
+        cov = a @ belief.cov @ a.T + process_noise(model)
     else:
         mean = a @ belief.mean + b * alpha_hat
         cov = a @ belief.cov @ a.T + q_omega
@@ -86,9 +93,13 @@ def g_gradient(state: np.ndarray, h: float, ts: float, steering_angle: float) ->
     x, y = float(state[0]), float(state[1])
     k2 = y * y + h * h
     denom = (x * x + k2) ** 1.5
-    return math.pi * np.array(
-        [k2, -x * y, math.cos(steering_angle) * k2 * ts]
-    ) / denom
+    return np.array(
+        [
+            math.pi * k2 / denom,
+            math.pi * (-x * y) / denom,
+            math.pi * (math.cos(steering_angle) * k2 * ts) / denom,
+        ]
+    )
 
 
 def jacobian(
@@ -107,7 +118,7 @@ def jacobian(
     """
     psi = g_of_state(state_pred, h)
     h_pred = beta * array_response(num_antennas, psi)
-    h_dot = 1j * np.arange(num_antennas) * h_pred
+    h_dot = antenna_ramp(num_antennas) * h_pred
     return h_pred, h_dot, g_gradient(state_pred, h, ts, steering_angle)
 
 
@@ -139,11 +150,11 @@ def update(
     With c = z^H h_dot and innovation nu = r - z^H h_pred:
     mean t + k Re(conj(c) nu), covariance Q - |c|^2 k (Q grad)^T, symmetrized.
     """
-    c = np.vdot(obs.z, h_dot)
+    c = complex(np.vdot(obs.z, h_dot))
     gain = kalman_gain(belief_pred.cov, grad, c, obs.noise_var)
-    innovation = obs.r - np.vdot(obs.z, h_pred)
+    innovation = complex(obs.r - np.vdot(obs.z, h_pred))
     mean = belief_pred.mean + gain * (c.conjugate() * innovation).real
-    cov = belief_pred.cov - abs(c) ** 2 * np.outer(gain, belief_pred.cov @ grad)
+    cov = belief_pred.cov - abs(c) ** 2 * (gain[:, None] * (belief_pred.cov @ grad))
     return StateBelief(mean=mean, cov=(cov + cov.T) / 2.0)
 
 

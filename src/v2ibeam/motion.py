@@ -81,15 +81,41 @@ def transition_matrices(model: MotionModel):
     return a, b, q_alpha, q_omega
 
 
+@functools.lru_cache(maxsize=64)
+def _truth_coefficients(model: MotionModel) -> tuple[float, ...]:
+    """A[0,2], A[1,2], b and the standard deviations sqrt(diag Q_omega) as floats."""
+    a, b, _, q_omega = transition_matrices(model)
+    return (float(a[0, 2]), float(a[1, 2]), *b.tolist(),
+            *np.sqrt(np.diag(q_omega)).tolist())
+
+
+@functools.lru_cache(maxsize=64)
+def process_noise(model: MotionModel) -> np.ndarray:
+    """Q_alpha + Q_omega, the prediction noise before the acceleration is
+    known; cached per model and read-only like transition_matrices."""
+    _, _, q_alpha, q_omega = transition_matrices(model)
+    q = q_alpha + q_omega
+    q.setflags(write=False)
+    return q
+
+
 def step_truth(
     rng: np.random.Generator, model: MotionModel, state: StateVector, alpha: float
 ) -> StateVector:
     """Advance the true state one period: t' = A t + b alpha + omega."""
-    a, b, _, q_omega = transition_matrices(model)
-    omega = rng.standard_normal(3) * np.sqrt(np.diag(q_omega))
-    return StateVector.from_array(a @ state.as_array() + b * alpha + omega)
+    a02, a12, b0, b1, b2, sx, sy, sv = _truth_coefficients(model)
+    w0, w1, w2 = rng.standard_normal(3).tolist()
+    return StateVector(
+        state.x + a02 * state.v + b0 * alpha + w0 * sx,
+        state.y + a12 * state.v + b1 * alpha + w1 * sy,
+        state.v + b2 * alpha + w2 * sv,
+    )
 
 
+# A tracking loop asks for steps 1..horizon in order, so an LRU cache smaller
+# than a horizon evicts each entry just before it is needed again. A full
+# cache holds about 3.3 MB.
+@functools.lru_cache(maxsize=4096)
 def long_term(model: MotionModel, steps: int) -> LongTermTransition:
     """Transition algebra from step 0 to step l = `steps`, in closed form.
 
@@ -99,6 +125,8 @@ def long_term(model: MotionModel, steps: int) -> LongTermTransition:
     b_acc = sum A^tau b = [(l T_s)^2 cos(phi_s)/2, (l T_s)^2 sin(phi_s)/2, l T_s];
     c_cov = sum A^tau Q_omega (A^tau)^T
           = l Q_omega + sigma_omega^2 (S1 (p e3^T + e3 p^T) + S2 p p^T).
+
+    Cached per (model, steps); the arrays are shared, so they are read-only.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -110,7 +138,7 @@ def long_term(model: MotionModel, steps: int) -> LongTermTransition:
     pos = var * (steps + s2)  # Q_omega[0,0] = var px^2, Q_omega[1,1] = var py^2
     cross = var * s1
     lt = steps * model.ts
-    return LongTermTransition(
+    out = LongTermTransition(
         a_pow=np.array([[1.0, 0.0, steps * px], [0.0, 1.0, steps * py], [0.0, 0.0, 1.0]]),
         b_acc=np.array([lt * lt * c / 2.0, lt * lt * s / 2.0, lt]),
         c_cov=np.array(
@@ -121,6 +149,9 @@ def long_term(model: MotionModel, steps: int) -> LongTermTransition:
             ]
         ),
     )
+    for arr in (out.a_pow, out.b_acc, out.c_cov):
+        arr.setflags(write=False)
+    return out
 
 
 class LongTermAccumulator:

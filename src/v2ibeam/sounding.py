@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,13 +64,21 @@ class SteeringDictionary:
     atoms: np.ndarray  # M x G
     oversampling: int = 4
 
+    _cache: ClassVar[dict[tuple[int, int], "SteeringDictionary"]] = {}
+
     @staticmethod
     def build(num_antennas: int, oversampling: int = 4) -> "SteeringDictionary":
-        size = oversampling * num_antennas
-        grid = -math.pi + 2.0 * math.pi * np.arange(size) / size
-        m = np.arange(num_antennas)[:, None]
-        atoms = np.exp(1j * m * grid[None, :]) / math.sqrt(num_antennas)
-        return SteeringDictionary(atoms=atoms, oversampling=oversampling)
+        """The dictionary for (M, oversampling), built once per process and
+        shared, so its atoms are read-only."""
+        key = (num_antennas, oversampling)
+        if key not in SteeringDictionary._cache:
+            size = oversampling * num_antennas
+            grid = -math.pi + 2.0 * math.pi * np.arange(size) / size
+            m = np.arange(num_antennas)[:, None]
+            atoms = np.exp(1j * m * grid[None, :]) / math.sqrt(num_antennas)
+            atoms.setflags(write=False)
+            SteeringDictionary._cache[key] = SteeringDictionary(atoms, oversampling)
+        return SteeringDictionary._cache[key]
 
 
 def optimal_combiner(
@@ -93,7 +102,7 @@ def optimal_combiner(
         raise ValueError("rho must be positive")
     m = h_dot.shape[0]
     qg = np.asarray(q_pred, float) @ grad
-    norm = np.linalg.norm(h_dot)
+    norm = math.sqrt(np.vdot(h_dot, h_dot).real)
     if not norm**2 * float(qg @ qg) > DEGENERATE_NORM:
         if fallback_psi is None:
             raise ValueError("degenerate combiner objective and no fallback direction")

@@ -1,7 +1,12 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from v2ibeam.accel import AccelEstimate, estimate_alpha, gate_alpha
+from v2ibeam.accel import COND_LIMIT, AccelEstimate, estimate_alpha, gate_alpha
 from v2ibeam.motion import MotionModel, long_term, transition_matrices
 
 
@@ -88,6 +93,70 @@ def test_crlb_shrinks_with_covariance():
 def test_estimate_rejects_zero_transition():
     with pytest.raises(ValueError):
         estimate_alpha(np.zeros(3), np.zeros(3), np.eye(3), np.eye(3))
+
+
+def _reference_estimate(t_res, b_acc, c_cov, q_cov):
+    """alpha_hat and crlb of the float inputs in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        s = mpmath.matrix(c_cov.tolist()) + mpmath.matrix(q_cov.tolist())
+        b = mpmath.matrix(b_acc.tolist())
+        wb = mpmath.lu_solve(s, b)
+        denom = (b.T * wb)[0]
+        numer = (mpmath.matrix(t_res.tolist()).T * wb)[0]
+        return float(numer / denom), float(1 / denom)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    log_cond=st.floats(0.0, 11.5),
+    middle=st.floats(0.0, 1.0),
+    log_scale=st.floats(-6.0, 3.0),
+    split=st.floats(0.0, 1.0),
+    alpha=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimate_matches_high_precision_reference(
+    log_cond, middle, log_scale, split, alpha, seed
+):
+    # S = R diag(1, kappa^-middle, kappa^-1) R^T scaled, split into PSD C and
+    # Q, observed at t = alpha b + chol(S) n, as the tracker's residual is.
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    lam = 10.0 ** (log_scale - log_cond * np.array([0.0, middle, 1.0]))
+    s = (rot * lam) @ rot.T
+    c_cov = split * (s + s.T) / 2.0
+    q_cov = (1.0 - split) * (s + s.T) / 2.0
+    s = c_cov + q_cov
+    trace, det = float(np.trace(s)), float(np.linalg.det(s))
+    assume(trace**3 <= COND_LIMIT * det)  # inside the gate: no ridge
+    b_acc = rng.standard_normal(3)
+    t_res = alpha * b_acc + np.linalg.cholesky(s) @ rng.standard_normal(3)
+    alpha_ref, crlb_ref = _reference_estimate(t_res, b_acc, c_cov, q_cov)
+    assume(abs(alpha_ref) >= 1e-3)
+    bound = 1e-13 * np.linalg.cond(s)
+    est = estimate_alpha(t_res, b_acc, c_cov, q_cov)
+    assert abs(est.alpha_hat - alpha_ref) <= bound * abs(alpha_ref)
+    assert abs(est.crlb - crlb_ref) <= bound * crlb_ref
+
+
+def test_estimate_regularizes_singular_covariance():
+    # rank-two S fails the condition gate; the estimate is that of S + ridge I
+    rot, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))
+    s = (rot * np.array([2.0, 0.5, 0.0])) @ rot.T
+    s = (s + s.T) / 2.0
+    trace = float(np.trace(s))
+    assert not trace**3 <= COND_LIMIT * np.linalg.det(s)
+    regularized = s + (trace / 3.0) * 1e-12 * np.eye(3)
+    b_acc = np.array([0.3, -1.2, 0.7])
+    t_res = np.array([1.5, 0.2, -0.4])
+    wb = np.linalg.solve(regularized, b_acc)
+    denom = float(b_acc @ wb)
+    est = estimate_alpha(t_res, b_acc, s, np.zeros((3, 3)))
+    # LU and LDL^T each stay within about 3e-16 cond of the exact value
+    bound = 1e-15 * np.linalg.cond(regularized)
+    assert math.isfinite(est.alpha_hat) and est.crlb > 0
+    assert est.alpha_hat == pytest.approx(float(wb @ t_res) / denom, rel=bound)
+    assert est.crlb == pytest.approx(1.0 / denom, rel=bound)
 
 
 def _est(val):

@@ -175,6 +175,41 @@ def test_long_term_rejects_zero_steps():
         long_term(MotionModel(ts=0.1), 0)
 
 
+@pytest.mark.parametrize("steps", [1, 7, 1000])
+def test_long_term_cached_read_only(steps):
+    model = MotionModel(ts=0.01, steering_angle=0.12, sigma_omega=0.6)
+    first = long_term(model, steps)
+    assert long_term(MotionModel(0.01, 0.12, 0.0, 0.6), steps) is first
+    fresh = long_term.__wrapped__(model, steps)  # the uncached closed form
+    for name in ("a_pow", "b_acc", "c_cov"):
+        arr = getattr(first, name)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[..., 0] = 1.0
+        np.testing.assert_array_equal(arr, getattr(fresh, name))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    ts=st.floats(1e-3, 0.1),
+    steering=st.floats(0.0, math.pi / 2),
+    sigma_omega=st.floats(0.0, 1.0),
+    x=st.floats(-100.0, -10.0),
+    y=st.floats(1.0, 20.0),
+    v=st.floats(1.0, 40.0),
+    alpha=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_truth_matches_matrix_form(ts, steering, sigma_omega, x, y, v, alpha, seed):
+    model = MotionModel(ts, steering, 0.0, sigma_omega)
+    a, b, _, q_omega = transition_matrices(model)
+    state = StateVector(x, y, v)
+    nxt = step_truth(np.random.default_rng(seed), model, state, alpha)
+    omega = np.random.default_rng(seed).standard_normal(3) * np.sqrt(np.diag(q_omega))
+    ref = a @ state.as_array() + b * alpha + omega
+    np.testing.assert_allclose(nxt.as_array(), ref, rtol=1e-15, atol=0.0)
+
+
 def test_long_term_accumulator_matches_batch():
     model = MotionModel(ts=0.01, steering_angle=0.12, sigma_omega=0.6)
     acc = LongTermAccumulator(model)

@@ -139,6 +139,15 @@ def test_dictionary_atoms_equal_gain():
     assert d.atoms.shape == (24, 96)
 
 
+def test_dictionary_built_once_and_read_only():
+    d = SteeringDictionary.build(24)
+    assert SteeringDictionary.build(24, oversampling=4) is d
+    assert SteeringDictionary.build(24, oversampling=2) is not d
+    assert not d.atoms.flags.writeable
+    with pytest.raises(ValueError):
+        d.atoms[0, 0] = 0.0
+
+
 def test_hybrid_analog_columns_equal_gain():
     rng = np.random.default_rng(7)
     m = 16
