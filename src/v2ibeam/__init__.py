@@ -2,7 +2,6 @@
 
 from .array_channel import (
     ArrayConfig,
-    ChannelRealization,
     RicianConfig,
     RoadGeometry,
     array_response,
@@ -27,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrayConfig",
-    "ChannelRealization",
     "Codebook",
     "MotionModel",
     "RicianConfig",

@@ -61,15 +61,6 @@ class ArrayConfig:
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """One sounding instant: fading beta, spatial frequency psi, linear SNR rho."""
-
-    beta: complex
-    psi: float
-    rho: float
-
-
-@dataclass(frozen=True)
 class RicianConfig:
     """Rician fading with K-factor in dB, block-constant over block_length steps.
 
@@ -124,6 +115,14 @@ def average_snr(cfg: ArrayConfig, distance_m: float) -> float:
         raise ValueError("distance must be positive")
     fs = cfg.wavelength_m / (4.0 * math.pi * distance_m)
     return (cfg.tx_power_mw / cfg.noise_power_mw) * fs**cfg.pathloss_exponent
+
+
+def vehicle_link(cfg: ArrayConfig, x: float, y: float, h: float) -> tuple[float, float]:
+    """Spatial frequency psi and average SNR rho of a vehicle at road position
+    (x, y): psi = spatial_frequency(x, y, h), rho = average_snr at the distance
+    sqrt(x^2 + y^2 + h^2)."""
+    distance_m = math.sqrt(x**2 + y**2 + h**2)
+    return spatial_frequency(x, y, h), average_snr(cfg, distance_m)
 
 
 def draw_fading(rng: np.random.Generator, ric: RicianConfig) -> complex:

@@ -13,6 +13,7 @@ between the target magnitude and the equal-gain feasible set.
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import math
 import os
@@ -67,8 +68,13 @@ class Codebook:
     def size(self) -> int:
         return len(self.codewords)
 
+    @functools.cached_property
     def bp_matrix(self) -> np.ndarray:
-        return np.stack([c.bp_samples for c in self.codewords])
+        """The read-only Q x L matrix of the codeword gain patterns, stacked
+        once per book."""
+        bp = np.stack([c.bp_samples for c in self.codewords])
+        bp.setflags(write=False)
+        return bp
 
     def resolution_slices(self) -> list[slice]:
         out, start = [], 0

@@ -18,12 +18,11 @@ from . import accel as accel_mod
 from . import sounding as sounding_mod
 from .array_channel import (
     ArrayConfig,
-    ChannelRealization,
     RoadGeometry,
     antenna_ramp,
-    array_response,
-    average_snr,
+    channel_vector,
     spatial_frequency,
+    vehicle_link,
 )
 from .motion import (
     LongTermAccumulator,
@@ -78,10 +77,8 @@ def predict(
     return StateBelief(mean=mean, cov=(cov + cov.T) / 2.0)
 
 
-def g_of_state(state: np.ndarray | StateVector, h: float) -> float:
+def g_of_state(state: np.ndarray, h: float) -> float:
     """Beam direction of a state: psi = pi x / sqrt(x^2 + y^2 + h^2)."""
-    if isinstance(state, StateVector):
-        return spatial_frequency(state.x, state.y, h)
     return spatial_frequency(float(state[0]), float(state[1]), h)
 
 
@@ -112,19 +109,18 @@ def jacobian(
 ):
     """Rank-one factors of the channel Jacobian at the predicted state.
 
-    Returns (h_pred, h_dot, grad): the predicted channel h = beta d_M(psi), its
-    derivative dh/dpsi = j m h_m and the state gradient of psi, so that the
-    complex Jacobian is D = h_dot grad^T.
+    Returns (psi_pred, h_pred, h_dot, grad): the predicted beam direction psi,
+    the predicted channel h = beta d_M(psi), its derivative dh/dpsi = j m h_m
+    and the state gradient of psi, so that the complex Jacobian is
+    D = h_dot grad^T.
     """
     psi = g_of_state(state_pred, h)
-    h_pred = beta * array_response(num_antennas, psi)
+    h_pred = channel_vector(beta, psi, num_antennas)
     h_dot = antenna_ramp(num_antennas) * h_pred
-    return h_pred, h_dot, g_gradient(state_pred, h, ts, steering_angle)
+    return psi, h_pred, h_dot, g_gradient(state_pred, h, ts, steering_angle)
 
 
-def kalman_gain(
-    q_pred: np.ndarray, grad: np.ndarray, c: complex, noise_var: float
-) -> np.ndarray:
+def kalman_gain(w: np.ndarray, grad: np.ndarray, c: complex, noise_var: float) -> np.ndarray:
     """State factor k = w / den of the Kalman gain, with w = Q grad and
     den = noise_var + grad^T w |c|^2, where c = z^H h_dot.
 
@@ -134,7 +130,6 @@ def kalman_gain(
     """
     if noise_var <= 0:
         raise ValueError("noise_var must be positive")
-    w = q_pred @ grad
     return w / (noise_var + float(grad @ w) * abs(c) ** 2)
 
 
@@ -147,14 +142,15 @@ def update(
 ) -> StateBelief:
     """Scalar rank-one measurement update against one sounding sample.
 
-    With c = z^H h_dot and innovation nu = r - z^H h_pred:
-    mean t + k Re(conj(c) nu), covariance Q - |c|^2 k (Q grad)^T, symmetrized.
+    With c = z^H h_dot, w = Q grad and innovation nu = r - z^H h_pred:
+    mean t + k Re(conj(c) nu), covariance Q - |c|^2 k w^T, symmetrized.
     """
     c = complex(np.vdot(obs.z, h_dot))
-    gain = kalman_gain(belief_pred.cov, grad, c, obs.noise_var)
+    w = belief_pred.cov @ grad
+    gain = kalman_gain(w, grad, c, obs.noise_var)
     innovation = complex(obs.r - np.vdot(obs.z, h_pred))
     mean = belief_pred.mean + gain * (c.conjugate() * innovation).real
-    cov = belief_pred.cov - abs(c) ** 2 * (gain[:, None] * (belief_pred.cov @ grad))
+    cov = belief_pred.cov - abs(c) ** 2 * (gain[:, None] * w)
     return StateBelief(mean=mean, cov=(cov + cov.T) / 2.0)
 
 
@@ -215,16 +211,14 @@ class Tracker:
         self.dictionary = dictionary
 
     def design_combiner(
-        self, belief_pred: StateBelief, h_dot: np.ndarray, grad: np.ndarray, rho: float
+        self, psi_pred: float, h_dot: np.ndarray, grad: np.ndarray, q_pred: np.ndarray
     ) -> sounding_mod.Combiner:
-        """Sounding combiner at the predicted belief; h_dot and grad are the
-        rank-one factors of the channel Jacobian there (see jacobian)."""
-        psi_pred = g_of_state(belief_pred.mean, self.geometry.rsu_height_m)
+        """Sounding combiner at the predicted belief: its beam direction
+        psi_pred, the rank-one factors h_dot, grad of the channel Jacobian
+        there (see jacobian) and its covariance q_pred."""
         if self.combiner_mode == "manifold":
             return sounding_mod.dft_manifold_combiner(psi_pred, self.array.num_antennas)
-        comb = sounding_mod.optimal_combiner(
-            h_dot, grad, belief_pred.cov, rho, fallback_psi=psi_pred
-        )
+        comb = sounding_mod.optimal_combiner(h_dot, grad, q_pred, fallback_psi=psi_pred)
         if self.combiner_mode == "hybrid":
             comb = sounding_mod.hybrid_approximation(
                 comb.z, self.dictionary, self.array.num_rf_chains
@@ -241,26 +235,17 @@ class Tracker:
 
         rng=None disables the sounding noise."""
         h = self.geometry.rsu_height_m
+        m = self.array.num_antennas
         self.step_index += 1
         lt = self.long_term.advance()
 
         belief_pred = predict(self.belief, self.model, self.alpha_applied)
-
-        d_true = math.sqrt(truth.x**2 + truth.y**2 + h**2)
-        rho = average_snr(self.array, d_true)
-        psi_true = spatial_frequency(truth.x, truth.y, h)
-
-        chan = ChannelRealization(beta=beta, psi=psi_true, rho=rho)
-        h_pred, h_dot, grad = jacobian(
-            belief_pred.mean,
-            beta,
-            self.array.num_antennas,
-            h,
-            self.model.ts,
-            self.model.steering_angle,
+        psi_pred, h_pred, h_dot, grad = jacobian(
+            belief_pred.mean, beta, m, h, self.model.ts, self.model.steering_angle
         )
-        comb = self.design_combiner(belief_pred, h_dot, grad, rho)
-        obs = sounding_mod.sound_uplink(rng, comb, chan, self.array.num_antennas)
+        comb = self.design_combiner(psi_pred, h_dot, grad, belief_pred.cov)
+        psi_true, rho = vehicle_link(self.array, truth.x, truth.y, h)
+        obs = sounding_mod.sound_uplink(rng, comb, channel_vector(beta, psi_true, m), rho)
         self.belief = update(belief_pred, obs, h_pred, h_dot, grad)
 
         if self.estimate_accel and self.step_index >= self.accel_min_step:

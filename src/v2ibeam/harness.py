@@ -27,9 +27,8 @@ from .array_channel import (
     FadingProcess,
     RicianConfig,
     RoadGeometry,
-    average_snr,
     channel_vector,
-    spatial_frequency,
+    vehicle_link,
 )
 from .codebook import (
     Codebook,
@@ -256,10 +255,8 @@ def _assign_beams(
                 )
             else:
                 psi = g_of_state(belief.mean, h)
-            choice = (
-                selector_mod.dft_bin(psi, num_antennas) + 1,
-                selector_mod.dft_codeword(psi, num_antennas),
-            )
+            index, codeword = selector_mod.dft_beam(psi, num_antennas)
+            choice = (index + 1, codeword)
         for idx in span:
             assignments[idx] = choice
     return assignments
@@ -285,13 +282,11 @@ def run_trial(
         beam_index = None
         if beam is not None:
             beam_index, c_vec = beam
-            psi_true = spatial_frequency(st.truth.x, st.truth.y, h)
+            psi_true, rho = vehicle_link(array, st.truth.x, st.truth.y, h)
             hvec = channel_vector(st.beta, psi_true, array.num_antennas)
             power = abs(np.vdot(hvec, c_vec)) ** 2
             norm2 = float(np.real(np.vdot(hvec, hvec)))
             gain = power / norm2 if norm2 > 0 else 0.0
-            d_true = math.sqrt(st.truth.x**2 + st.truth.y**2 + h**2)
-            rho = average_snr(array, d_true)
             rate = math.log2(1.0 + rho * power)
         records.append(
             TrialRecord(

@@ -23,10 +23,6 @@ class StateVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.v])
 
-    @staticmethod
-    def from_array(a) -> "StateVector":
-        return StateVector(float(a[0]), float(a[1]), float(a[2]))
-
 
 @dataclass(frozen=True)
 class MotionModel:

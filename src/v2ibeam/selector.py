@@ -90,23 +90,22 @@ def select(book: Codebook, ideal: np.ndarray) -> tuple[int, Codeword]:
         raise ValueError("empty codebook")
     if book.codewords[0].bp_samples.shape[0] != ideal.shape[0]:
         raise ValueError("codebook and ideal pattern use different grids")
-    scores = np.abs(book.bp_matrix() @ ideal) ** 2
+    scores = np.abs(book.bp_matrix @ ideal) ** 2
     idx = int(np.argmax(scores))  # argmax returns the first (lowest) maximizer
     return idx + 1, book.codewords[idx]
 
 
-def dft_codeword(psi: float, num_antennas: int) -> np.ndarray:
-    """Steering vector at the M-point DFT frequency nearest to psi."""
+def dft_beam(psi: float, num_antennas: int) -> tuple[int, np.ndarray]:
+    """The M-point DFT beam nearest to psi: its 0-based index k mod M on the
+    grid -pi + 2 pi k / M and its unit-norm steering vector.
+
+    The steering vector is taken at the unreduced k, so psi near +pi steers at
+    +pi itself while its index wraps to 0.
+    """
     step = 2.0 * math.pi / num_antennas
     k = round((psi + math.pi) / step)
     psi_q = -math.pi + k * step
-    return array_response(num_antennas, psi_q) / math.sqrt(num_antennas)
-
-
-def dft_bin(psi: float, num_antennas: int) -> int:
-    """0-based index of the M-point DFT frequency dft_codeword steers at for psi."""
-    step = 2.0 * math.pi / num_antennas
-    return int(round((psi + math.pi) / step)) % num_antennas
+    return k % num_antennas, array_response(num_antennas, psi_q) / math.sqrt(num_antennas)
 
 
 def dft_midpoint_direction(

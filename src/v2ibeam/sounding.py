@@ -20,27 +20,20 @@ from typing import ClassVar
 
 import numpy as np
 
-from .array_channel import ChannelRealization, array_response
+from .array_channel import array_response
 
 DEGENERATE_NORM = 1e-30
 
 
 @dataclass(frozen=True)
 class Combiner:
-    """Unit-norm combiner vector. A hybrid combiner has z = analog @ digital
-    with analog columns of per-entry modulus 1/sqrt(M)."""
+    """Unit-norm combiner vector. A hybrid combiner's z lies in the span of
+    its analog columns, each of per-entry modulus 1/sqrt(M)."""
 
     z: np.ndarray
     fallback: bool = False
     analog: np.ndarray | None = None
     correlation: float | None = None
-
-    @property
-    def digital(self) -> np.ndarray | None:
-        """Digital weights of a hybrid combiner: the w with analog @ w = z."""
-        if self.analog is None:
-            return None
-        return np.linalg.pinv(self.analog) @ self.z
 
 
 @dataclass(frozen=True)
@@ -85,7 +78,6 @@ def optimal_combiner(
     h_dot: np.ndarray,
     grad: np.ndarray,
     q_pred: np.ndarray,
-    rho: float,
     fallback_psi: float | None = None,
 ) -> Combiner:
     """Principal eigenvector of (D Q D^H + I/rho)^{-1} (D Q^2 D^H), unit norm.
@@ -94,12 +86,10 @@ def optimal_combiner(
     D Q^2 D^H = ||Q grad||^2 h_dot h_dot^H, and the eigenvector
     (D Q D^H + I/rho)^{-1} h_dot is itself proportional to h_dot by the matrix
     inversion lemma. The optimum is therefore h_dot/||h_dot|| for every Q and
-    rho. On a degenerate objective (tr(D Q^2 D^H) = ||h_dot||^2 ||Q grad||^2
-    numerically zero) falls back to the array-manifold combiner at
-    fallback_psi when given.
+    every SNR rho > 0, so rho is not an input. On a degenerate objective
+    (tr(D Q^2 D^H) = ||h_dot||^2 ||Q grad||^2 numerically zero) falls back to
+    the array-manifold combiner at fallback_psi when given.
     """
-    if rho <= 0:
-        raise ValueError("rho must be positive")
     m = h_dot.shape[0]
     qg = np.asarray(q_pred, float) @ grad
     norm = math.sqrt(np.vdot(h_dot, h_dot).real)
@@ -178,18 +168,17 @@ def dft_manifold_combiner(psi_pred: float, num_antennas: int) -> Combiner:
 
 
 def sound_uplink(
-    rng: np.random.Generator | None,
-    combiner: Combiner,
-    chan: ChannelRealization,
-    num_antennas: int,
+    rng: np.random.Generator | None, combiner: Combiner, h: np.ndarray, rho: float
 ) -> Sounding:
-    """Synthesize r = z^H h(psi) + n, n ~ CN(0, 1/rho).
+    """Synthesize r = z^H h + n, n ~ CN(0, 1/rho), from the true channel
+    vector h = beta d_M(psi) (see array_channel.channel_vector).
 
     Passing rng=None produces the noiseless sample.
     """
-    h = chan.beta * array_response(num_antennas, chan.psi)
+    if not rho > 0:
+        raise ValueError("rho must be positive")
     r = np.vdot(combiner.z, h)
-    noise_var = 1.0 / (2.0 * chan.rho)
+    noise_var = 1.0 / (2.0 * rho)
     if rng is not None:
         r = r + math.sqrt(noise_var) * (rng.standard_normal() + 1j * rng.standard_normal())
     return Sounding(r=r, z=combiner.z, noise_var=noise_var)

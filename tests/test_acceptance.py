@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from v2ibeam import harness
-from v2ibeam.array_channel import ChannelRealization, RoadGeometry, array_response
+from v2ibeam.array_channel import RoadGeometry, array_response, channel_vector
 from v2ibeam.codebook import (
     build_codebook,
     geo_to_spatial,
@@ -83,7 +83,7 @@ def test_criterion_1_jacobian_against_finite_differences():
                     rng.uniform(-70, 70), rng.uniform(2, 15), rng.uniform(5, 30)
                 ])
                 beta = complex(rng.standard_normal(), rng.standard_normal())
-                _, h_dot, grad = jacobian(state, beta, m, h, ts, phi)
+                _, _, h_dot, grad = jacobian(state, beta, m, h, ts, phi)
                 D = np.outer(h_dot, grad)
                 d_lift = np.vstack([D.real, D.imag])
                 fd = np.zeros_like(d_lift)
@@ -109,12 +109,12 @@ def test_criterion_2_combiner_maximizes_rayleigh_quotient():
                 rng.uniform(-70, 70), rng.uniform(2, 15), rng.uniform(5, 30)
             ])
             beta = complex(rng.standard_normal(), rng.standard_normal())
-            _, h_dot, grad = jacobian(state, beta, m, 7.5, 0.01, 0.1)
+            _, _, h_dot, grad = jacobian(state, beta, m, 7.5, 0.01, 0.1)
             d = np.outer(h_dot, grad)
             base = rng.standard_normal((3, 3))
             q = base @ base.T + 10 ** rng.uniform(-4, 0) * np.eye(3)
             rho = 10 ** rng.uniform(-1.5, 2.5)
-            z = optimal_combiner(h_dot, grad, q, rho).z
+            z = optimal_combiner(h_dot, grad, q).z
             dq = d @ q
             s_num = dq @ q @ d.conj().T
             s_den = dq @ d.conj().T + np.eye(m) / rho
@@ -263,8 +263,8 @@ def test_criterion_9_ekf_sanity():
         belief = StateBelief(mean=state, cov=0.02 * np.eye(3))
         beta = 0.7 - 0.4j
         comb = dft_manifold_combiner(g_of_state(state, h), m)
-        obs = sound_uplink(None, comb, ChannelRealization(beta, g_of_state(state, h), 8.0), m)
-        h_pred, h_dot, grad = jacobian(state, beta, m, h, 0.01, 0.1)
+        obs = sound_uplink(None, comb, channel_vector(beta, g_of_state(state, h), m), 8.0)
+        _, h_pred, h_dot, grad = jacobian(state, beta, m, h, 0.01, 0.1)
         updated = update(belief, obs, h_pred, h_dot, grad)
         assert np.all(updated.mean == belief.mean)
 

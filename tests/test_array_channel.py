@@ -13,6 +13,7 @@ from v2ibeam.array_channel import (
     channel_vector,
     draw_fading,
     spatial_frequency,
+    vehicle_link,
 )
 from v2ibeam.units import carrier_to_wavelength, dbm_to_mw
 
@@ -118,6 +119,13 @@ def test_average_snr_monotone_and_linear_in_power():
 def test_average_snr_rejects_nonpositive_distance():
     with pytest.raises(ValueError):
         average_snr(_cfg(), 0.0)
+
+
+def test_vehicle_link_is_direction_and_snr_at_slant_distance():
+    cfg = _cfg()
+    psi, rho = vehicle_link(cfg, -31.0, 8.5, 7.5)
+    assert psi == spatial_frequency(-31.0, 8.5, 7.5)
+    assert rho == average_snr(cfg, math.sqrt(31.0**2 + 8.5**2 + 7.5**2))
 
 
 def test_fading_pure_los_limit():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2ibeam.array_channel import ArrayConfig, ChannelRealization, RoadGeometry, array_response
+from v2ibeam.array_channel import ArrayConfig, RoadGeometry, array_response, channel_vector
 from v2ibeam.ekf import (
     StateBelief,
     Tracker,
@@ -122,10 +122,10 @@ def test_g_gradient_velocity_entry_is_scaled_x_entry():
 
 def test_jacobian_zero_cases():
     state = np.array([-20.0, 8.5, 19.0])
-    h_pred, h_dot, _ = jacobian(state, 0.0, 16, 7.5, 0.01, 0.1)
+    _, h_pred, h_dot, _ = jacobian(state, 0.0, 16, 7.5, 0.01, 0.1)
     np.testing.assert_allclose(h_pred, 0.0)
     np.testing.assert_allclose(h_dot, 0.0)
-    _, h_dot, _ = jacobian(state, 1.0 + 0.5j, 1, 7.5, 0.01, 0.1)
+    _, _, h_dot, _ = jacobian(state, 1.0 + 0.5j, 1, 7.5, 0.01, 0.1)
     np.testing.assert_allclose(h_dot, 0.0)
 
 
@@ -141,7 +141,7 @@ def test_jacobian_matches_lifted_finite_differences():
                 [rng.uniform(-70, 70), rng.uniform(2, 15), rng.uniform(5, 30)]
             )
             beta = complex(rng.standard_normal(), rng.standard_normal())
-            _, h_dot, grad = jacobian(state, beta, m, h, ts, phi)
+            _, _, h_dot, grad = jacobian(state, beta, m, h, ts, phi)
             d_lift = lifted_jacobian(h_dot, grad)
             fd = np.zeros_like(d_lift)
             for axis in range(2):
@@ -158,22 +158,22 @@ def test_jacobian_matches_lifted_finite_differences():
 def test_kalman_gain_zero_jacobian():
     # D = h_dot grad^T with grad = 0; the h_dot = 0 case is
     # test_update_zero_gain_leaves_belief
-    gain = kalman_gain(np.eye(3), np.zeros(3), 1.0 + 2.0j, 0.25)
+    gain = kalman_gain(np.zeros(3), np.zeros(3), 1.0 + 2.0j, 0.25)
     np.testing.assert_allclose(gain, 0.0)
 
 
 def test_kalman_gain_vanishes_at_low_snr():
     state = np.array([-20.0, 8.5, 19.0])
-    _, h_dot, grad = jacobian(state, 1.0 + 0.2j, 8, 7.5, 0.01, 0.1)
+    _, _, h_dot, grad = jacobian(state, 1.0 + 0.2j, 8, 7.5, 0.01, 0.1)
     z = array_response(8, 0.3) / math.sqrt(8)
     c = np.vdot(z, h_dot)
-    small = kalman_gain(np.eye(3), grad, c, 0.5 / 1e-12)
+    small = kalman_gain(grad, grad, c, 0.5 / 1e-12)  # Q = I, so w = Q grad = grad
     assert np.max(np.abs(small * abs(c))) < 1e-9
 
 
 def test_kalman_gain_rejects_nonpositive_noise():
     with pytest.raises(ValueError):
-        kalman_gain(np.eye(3), np.ones(3), 1.0, 0.0)
+        kalman_gain(np.ones(3), np.ones(3), 1.0, 0.0)
 
 
 def test_kalman_gain_matches_textbook_form():
@@ -182,14 +182,14 @@ def test_kalman_gain_matches_textbook_form():
         m = int(rng.integers(2, 24))
         state = np.array([rng.uniform(-60, 60), rng.uniform(2, 12), rng.uniform(5, 30)])
         beta = complex(rng.standard_normal(), rng.standard_normal())
-        _, h_dot, grad = jacobian(state, beta, m, 7.5, 0.01, 0.1)
+        _, _, h_dot, grad = jacobian(state, beta, m, 7.5, 0.01, 0.1)
         z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         z /= np.linalg.norm(z)
         base = rng.standard_normal((3, 3))
         q = base @ base.T + 0.1 * np.eye(3)
         rho = 10 ** rng.uniform(-1, 2)
         c = np.vdot(z, h_dot)
-        gain = kalman_gain(q, grad, c, 1 / (2 * rho))
+        gain = kalman_gain(q @ grad, grad, c, 1 / (2 * rho))
         # standard linear-KF gain on the lifted measurement y = (Z D) t + n is
         # the state factor times the measurement direction [Re c, Im c]
         h_mat = lifted_row(z) @ lifted_jacobian(h_dot, grad)
@@ -204,8 +204,8 @@ def test_update_zero_innovation_is_fixed_point():
     belief = StateBelief(mean=state, cov=0.01 * np.eye(3))
     beta = 0.8 - 0.3j
     comb = dft_manifold_combiner(g_of_state(state, h), m)
-    obs = sound_uplink(None, comb, ChannelRealization(beta, g_of_state(state, h), 5.0), m)
-    updated = update(belief, obs, *jacobian(state, beta, m, h, 0.01, 0.1))
+    obs = sound_uplink(None, comb, channel_vector(beta, g_of_state(state, h), m), 5.0)
+    updated = update(belief, obs, *jacobian(state, beta, m, h, 0.01, 0.1)[1:])
     assert np.all(updated.mean == belief.mean)  # bit-identical
 
 
@@ -215,8 +215,8 @@ def test_update_zero_gain_leaves_belief():
     belief = StateBelief(mean=state, cov=0.01 * np.eye(3))
     beta = 1.0 + 0.0j
     comb = dft_manifold_combiner(0.4, m)
-    obs = sound_uplink(np.random.default_rng(0), comb, ChannelRealization(beta, 0.4, 5.0), m)
-    h_pred, _, grad = jacobian(state, beta, m, h, 0.01, 0.1)
+    obs = sound_uplink(np.random.default_rng(0), comb, channel_vector(beta, 0.4, m), 5.0)
+    _, h_pred, _, grad = jacobian(state, beta, m, h, 0.01, 0.1)
     updated = update(belief, obs, h_pred, np.zeros(m, dtype=complex), grad)
     np.testing.assert_allclose(updated.mean, belief.mean)
     np.testing.assert_allclose(updated.cov, belief.cov)
@@ -244,8 +244,8 @@ def test_update_reduces_direction_error_on_average():
             pred = predict(belief, model)
             beta = complex(rng.standard_normal(), rng.standard_normal()) / math.sqrt(2)
             comb = dft_manifold_combiner(g_of_state(pred.mean, h), m)
-            obs = sound_uplink(rng, comb, ChannelRealization(beta, psi_true, 50.0), m)
-            belief = update(pred, obs, *jacobian(pred.mean, beta, m, h, ts, 0.0))
+            obs = sound_uplink(rng, comb, channel_vector(beta, psi_true, m), 50.0)
+            belief = update(pred, obs, *jacobian(pred.mean, beta, m, h, ts, 0.0)[1:])
         errs[trial] = checkpoints
     means = errs.mean(axis=0)
     assert means[1] < means[0]
@@ -271,7 +271,7 @@ def test_update_invariant_to_joint_phase_rotation():
         bb = beta * np.exp(1j * phase)
         r = np.vdot(zz, bb * array_response(m, psi_true)) + noise
         obs = Sounding(r=r, z=zz, noise_var=1.0 / (2.0 * rho))
-        return update(belief, obs, *jacobian(state, bb, m, h, 0.01, 0.1))
+        return update(belief, obs, *jacobian(state, bb, m, h, 0.01, 0.1)[1:])
 
     base = run(0.0)
     for phase in (0.3, 1.7, -2.5):
@@ -287,8 +287,8 @@ def test_update_covariance_symmetric():
     belief = StateBelief(mean=state, cov=0.1 * np.eye(3))
     beta = 1.0 + 0.1j
     comb = dft_manifold_combiner(g_of_state(state, h) + 0.01, m)
-    obs = sound_uplink(rng, comb, ChannelRealization(beta, g_of_state(state, h), 20.0), m)
-    updated = update(belief, obs, *jacobian(state, beta, m, h, 0.01, 0.1))
+    obs = sound_uplink(rng, comb, channel_vector(beta, g_of_state(state, h), m), 20.0)
+    updated = update(belief, obs, *jacobian(state, beta, m, h, 0.01, 0.1)[1:])
     np.testing.assert_allclose(updated.cov, updated.cov.T, atol=1e-10)
 
 
@@ -347,10 +347,10 @@ def test_update_covariance_symmetric_psd_property(m, rho, log_scale, seed):
     cov = 10**log_scale * (base @ base.T + 1e-6 * np.eye(3))
     belief = StateBelief(mean=state, cov=cov)
     beta = complex(rng.standard_normal(), rng.standard_normal())
-    h_pred, h_dot, grad = jacobian(state, beta, m, h, 0.01, 0.1)
-    comb = optimal_combiner(h_dot, grad, cov, rho)
+    _, h_pred, h_dot, grad = jacobian(state, beta, m, h, 0.01, 0.1)
+    comb = optimal_combiner(h_dot, grad, cov)
     psi = g_of_state(state, h) + rng.normal(0.0, 0.05)
-    obs = sound_uplink(rng, comb, ChannelRealization(beta, psi, rho), m)
+    obs = sound_uplink(rng, comb, channel_vector(beta, psi, m), rho)
     post = update(belief, obs, h_pred, h_dot, grad).cov
     assert np.array_equal(post, post.T)
     assert np.linalg.eigvalsh(post).min() >= -1e-12 * np.linalg.norm(cov, 2)
@@ -373,15 +373,15 @@ def test_update_matches_lifted_joseph_form(m, rho, log_scale, kind, seed):
     base = rng.standard_normal((3, 3))
     q = 10**log_scale * (base @ base.T + 1e-3 * np.eye(3))
     beta = complex(rng.standard_normal(), rng.standard_normal())
-    h_pred, h_dot, grad = jacobian(state, beta, m, h, 0.01, 0.1)
-    comb = optimal_combiner(h_dot, grad, q, rho)
+    _, h_pred, h_dot, grad = jacobian(state, beta, m, h, 0.01, 0.1)
+    comb = optimal_combiner(h_dot, grad, q)
     if kind == "hybrid":
         comb = hybrid_approximation(comb.z, SteeringDictionary.build(m), min(4, m))
     elif kind == "random":
         z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         comb = Combiner(z=z / np.linalg.norm(z))
     psi = g_of_state(state, h) + rng.normal(0.0, 0.05)
-    obs = sound_uplink(rng, comb, ChannelRealization(beta, psi, rho), m)
+    obs = sound_uplink(rng, comb, channel_vector(beta, psi, m), rho)
     post = update(StateBelief(mean=state, cov=q), obs, h_pred, h_dot, grad)
 
     z_row = lifted_row(obs.z)

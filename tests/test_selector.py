@@ -11,7 +11,7 @@ from v2ibeam.ekf import StateBelief, g_of_state, predict
 from v2ibeam.motion import MotionModel, transition_matrices
 from v2ibeam.selector import (
     PredictedDirection,
-    dft_codeword,
+    dft_beam,
     dft_midpoint_direction,
     direction_distribution,
     extrapolate,
@@ -150,7 +150,7 @@ def test_select_scaling_invariance(small_book, dirs, k, c):
     ideal = ideal_bp(dirs, 16, small_book.grid_size)
     q_base, _ = select(small_book, ideal)
     assert select(small_book, 2.0**k * ideal)[0] == q_base
-    scores = np.abs(small_book.bp_matrix() @ ideal) ** 2
+    scores = np.abs(small_book.bp_matrix @ ideal) ** 2
     q_c, _ = select(small_book, c * ideal)
     assert scores[q_c - 1] >= scores.max() * (1.0 - 1e-12)
 
@@ -169,6 +169,13 @@ def test_select_matches_exhaustive_scan(small_book):
             for w in small_book.codewords
         ]
         assert q_hat == int(np.argmax(scores)) + 1
+
+
+def test_codebook_pattern_matrix_stacked_once_and_read_only(small_book):
+    bp = small_book.bp_matrix
+    assert small_book.bp_matrix is bp
+    assert not bp.flags.writeable
+    np.testing.assert_array_equal(bp, np.stack([w.bp_samples for w in small_book.codewords]))
 
 
 def test_select_winner_dominates_at_its_direction(small_book):
@@ -198,10 +205,21 @@ def test_select_empty_codebook_fails(small_book):
 def test_dft_codeword_on_grid_point():
     m = 16
     psi = 2 * math.pi * 3 / m  # exact DFT frequency
-    c = dft_codeword(psi, m)
+    _, c = dft_beam(psi, m)
     gain = abs(np.vdot(c, array_response(m, psi))) ** 2 / m
     assert gain == pytest.approx(1.0, rel=1e-12)
     assert np.linalg.norm(c) == pytest.approx(1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(psi=st.floats(-math.pi, math.pi), m=st.integers(2, 128))
+@example(psi=math.pi, m=16)
+@example(psi=-math.pi, m=16)
+def test_dft_beam_index_and_codeword_agree(psi, m):
+    index, c = dft_beam(psi, m)
+    assert 0 <= index < m
+    expected = array_response(m, -math.pi + 2 * math.pi * index / m) / math.sqrt(m)
+    assert np.max(np.abs(c - expected)) <= 1e-12
 
 
 def test_dft_schemes_odd_omega_rejected():
@@ -229,7 +247,7 @@ def test_dft_scheme1_outperforms_scheme2_for_fast_vehicle():
     for x0 in np.linspace(-15.0, 15.0, 12):
         belief = StateBelief(mean=np.array([x0, 8.5, 25.0]), cov=np.zeros((3, 3)))
         psi_mid = dft_midpoint_direction(belief, model, omega, h)
-        c1, c2 = dft_codeword(psi_mid, m), dft_codeword(g_of_state(belief.mean, h), m)
+        c1, c2 = dft_beam(psi_mid, m)[1], dft_beam(g_of_state(belief.mean, h), m)[1]
         state = belief.mean.copy()
         a, b, _, _ = transition_matrices(model)
         for _ in range(omega):
