@@ -145,7 +145,7 @@ def _apply_overrides(scenario, tx_power=(), **fields):
               multiple=True, default=("csv",), show_default=True,
               help="Outputs to write; repeatable.")
 @click.option("--workers", type=int, default=None,
-              help="Trial worker count (default: V2I_THREADS or CPUs).")
+              help="Trial and codebook-fit worker count (default: V2I_THREADS or CPUs).")
 @guarded
 def simulate(scenario_ref, trials, seed, horizon, tracker, combiner, tx_power,
              codebook_path, out_dir, formats, workers):

@@ -312,7 +312,7 @@ def fit_codeword(
         row = int(np.argmin(errs))
         if errs[row] < best_mse:
             best_mse = float(errs[row])
-            best_u = batch[row]
+            best_u = batch[row].copy()  # contiguous, as a pool process returns it
         # keep each pattern's phase, take the target magnitude (phase 0 at nulls)
         null = mags == 0.0
         patterns[null] = 1.0
@@ -333,9 +333,8 @@ def fit_codeword(
     return Codeword(u=best_u, region=region, bp_samples=bp, mse=best_mse)
 
 
-def _fit_task(args):
-    (geom, y_design, num_antennas, num_rf_chains, region, seed_key,
-     grid_size, iters, inits, oversampling) = args
+def _fit_region(region, seed_key, *, geom, y_design, num_antennas, num_rf_chains,
+                grid_size, iters, inits, oversampling):
     dictionary = SteeringDictionary.build(num_antennas, oversampling)
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     with warnings.catch_warnings():
@@ -351,7 +350,8 @@ _BLAS_SET_THREADS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads
 
 
 def single_blas_thread() -> None:
-    """Process-pool initializer: run the loaded OpenBLAS on one thread.
+    """Run the loaded OpenBLAS on one thread; each pool process calls this
+    when it starts.
 
     Each pool worker already takes a core, so BLAS threads on top of it would
     oversubscribe the machine. The library is located through the process's
@@ -375,11 +375,49 @@ def single_blas_thread() -> None:
                 setter(1)
 
 
-def default_workers() -> int:
-    env = os.environ.get("V2I_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+def resolve_workers(workers: int | None) -> int:
+    """The process count: workers when given, else V2I_THREADS when set, else
+    the CPU count. A count below 1 is an error that names its source."""
+    if workers is None:
+        env = os.environ.get("V2I_THREADS")
+        if not env:
+            return max(1, os.cpu_count() or 1)
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ValueError(f"V2I_THREADS must be an integer >= 1, got {env!r}")
+        return int(env)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
+_pool_fn = None  # the function parallel_map sends to each pool process
+
+
+def _set_pool_fn(fn) -> None:
+    global _pool_fn
+    single_blas_thread()
+    _pool_fn = fn
+
+
+def _call_pool_fn(args):
+    return _pool_fn(*args)
+
+
+def parallel_map(fn, arg_tuples: list[tuple], workers: int | None = None) -> list:
+    """[fn(*args) for args in arg_tuples], in order, on a process pool of
+    resolve_workers(workers) processes; serial for one worker or one call.
+
+    fn, usually a functools.partial that binds what every call shares, goes
+    to each process once through the pool initializer. Calls travel in chunks
+    of 8, or smaller when that would leave fewer than 4 chunks per process.
+    """
+    workers = resolve_workers(workers)
+    if workers == 1 or len(arg_tuples) <= 1:
+        return [fn(*args) for args in arg_tuples]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_set_pool_fn,
+                             initargs=(fn,)) as pool:
+        chunksize = min(8, max(1, len(arg_tuples) // (4 * workers)))
+        return list(pool.map(_call_pool_fn, arg_tuples, chunksize=chunksize))
 
 
 def build_codebook(
@@ -401,20 +439,17 @@ def build_codebook(
         raise ValueError(f"num_antennas must be >= 1, got {num_antennas}")
     _check_grid(grid_size, num_antennas)
     resolutions = (codewords,) if isinstance(codewords, int) else tuple(codewords)
-    tasks = []
-    for res_idx, q in enumerate(resolutions):
-        regions = divide_regions(geom, y_design, q)
-        for reg_idx, region in enumerate(regions):
-            tasks.append(
-                (geom, y_design, num_antennas, num_rf_chains, region,
-                 [seed, res_idx, reg_idx], grid_size, iters, inits, oversampling)
-            )
-    workers = default_workers() if workers is None else workers
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=single_blas_thread) as pool:
-            fitted = list(pool.map(_fit_task, tasks, chunksize=4))
-    else:
-        fitted = [_fit_task(t) for t in tasks]
+    fit = functools.partial(
+        _fit_region, geom=geom, y_design=y_design, num_antennas=num_antennas,
+        num_rf_chains=num_rf_chains, grid_size=grid_size, iters=iters, inits=inits,
+        oversampling=oversampling,
+    )
+    tasks = [
+        (region, [seed, res_idx, reg_idx])
+        for res_idx, q in enumerate(resolutions)
+        for reg_idx, region in enumerate(divide_regions(geom, y_design, q))
+    ]
+    fitted = parallel_map(fit, tasks, workers)
     return Codebook(
         num_antennas=num_antennas,
         num_rf_chains=num_rf_chains,
@@ -484,6 +519,17 @@ def load_codebook(path: str) -> Codebook:
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     m = int(doc["M"])
+    q = int(doc["Q"])
+    resolutions = tuple(int(count) for count in doc["resolutions"])
+    for key, count in [("regions", len(doc["regions"])), ("codewords", len(doc["codewords"])),
+                       ("resolutions", sum(resolutions))]:
+        if count != q:
+            raise ValueError(f"codebook {path}: {key!r} counts {count} codewords, 'Q' is {q}")
+    for index, vec in enumerate(doc["codewords"]):
+        if len(vec) != m:
+            raise ValueError(
+                f"codebook {path}: 'codewords'[{index}] has {len(vec)} entries, 'M' is {m}"
+            )
     grid_size = int(doc.get("L", DEFAULT_GRID))
     ctx = _PatternContext.get(m, grid_size)
     words = []
@@ -501,7 +547,7 @@ def load_codebook(path: str) -> Codebook:
         num_rf_chains=int(doc["N"]),
         y_design=float(doc["y_design"]),
         rsu_height=float(doc["h"]),
-        resolutions=tuple(int(q) for q in doc["resolutions"]),
+        resolutions=resolutions,
         codewords=tuple(words),
         grid_size=grid_size,
     )

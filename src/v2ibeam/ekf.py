@@ -156,12 +156,10 @@ def update(
 
 @dataclass
 class TrackStep:
-    """Everything logged for one sounding period of one trial."""
+    """The tracker's state after one sounding period."""
 
     step: int
-    truth: StateVector
     belief: StateBelief
-    beta: complex
     alpha_applied: float | None
 
 
@@ -256,9 +254,5 @@ class Tracker:
             self.last_estimate = estimate
 
         return TrackStep(
-            step=self.step_index,
-            truth=truth,
-            belief=self.belief,
-            beta=beta,
-            alpha_applied=self.alpha_applied,
+            step=self.step_index, belief=self.belief, alpha_applied=self.alpha_applied
         )

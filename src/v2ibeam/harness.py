@@ -9,6 +9,7 @@ reproducible bit-for-bit regardless of worker count or execution order.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -16,7 +17,6 @@ import numbers
 import operator
 import os
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,13 +30,7 @@ from .array_channel import (
     channel_vector,
     vehicle_link,
 )
-from .codebook import (
-    Codebook,
-    build_codebook,
-    default_workers,
-    load_codebook,
-    single_blas_thread,
-)
+from .codebook import Codebook, build_codebook, load_codebook, parallel_map, resolve_workers
 from .ekf import StateBelief, Tracker, TrackStep, g_of_state, init_belief, predict
 from .motion import MotionModel, StateVector, step_truth
 from .units import carrier_to_wavelength, dbm_to_mw, kmh_to_ms
@@ -98,6 +92,10 @@ class Scenario:
             raise ValueError(f"unknown combiner_mode {self.combiner_mode!r}")
         if not self.tx_powers_dbm:
             raise ValueError("tx_powers_dbm needs at least one transmit power")
+        labels = [f"{power:g}" for power in self.tx_powers_dbm]  # name rows and files
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"tx_power_dbm {list(self.tx_powers_dbm)} repeats a dBm label "
+                             f"({', '.join(labels)}): each power needs its own label")
 
 
 @dataclass(frozen=True)
@@ -160,13 +158,7 @@ class FeedbackTracker:
             self.belief = init_belief(truth, 0.0, None)
         else:
             self.belief = predict(self.belief, self.model, None)
-        return TrackStep(
-            step=self.step_index,
-            truth=truth,
-            belief=self.belief,
-            beta=beta,
-            alpha_applied=None,
-        )
+        return TrackStep(step=self.step_index, belief=self.belief, alpha_applied=None)
 
 
 def make_tracker(scenario: Scenario, rng):
@@ -190,76 +182,35 @@ def make_tracker(scenario: Scenario, rng):
     )
 
 
-def simulate_tracking_trial(
-    scenario: Scenario, rng: np.random.Generator
-) -> tuple[StateBelief, list[TrackStep]]:
-    """Run the tracking loop over one simulated trajectory.
-
-    Per step: advance the truth, draw fading, design the combiner, take the
-    sounding sample, update the belief, and (for the proposed tracker) refresh
-    the acceleration estimate. Returns the tracker's initial belief and the
-    per-step log.
-    """
-    tracker = make_tracker(scenario, rng)
-    initial_belief = tracker.belief
-    fading = FadingProcess(rng, scenario.fading)
-    coherence = scenario.coherence_steps or scenario.horizon
-    sounding_rng = None if scenario.noise_free else rng
-
-    truth = scenario.t0
-    alpha = rng.normal(0.0, scenario.motion.sigma_alpha)
-    steps: list[TrackStep] = []
-    for step_idx in range(1, scenario.horizon + 1):
-        if step_idx > 1 and (step_idx - 1) % coherence == 0:
-            alpha = rng.normal(0.0, scenario.motion.sigma_alpha)
-        truth = step_truth(rng, scenario.motion, truth, alpha)
-        beta = fading.step()
-        steps.append(tracker.step(truth, beta, sounding_rng))
-    return initial_belief, steps
-
-
-def _assign_beams(
-    scenario: Scenario,
-    steps: list[TrackStep],
-    book: Codebook | None,
+def _choose_beam(
+    scenario: Scenario, book: Codebook | None, belief: StateBelief, alpha_hat: float | None,
     rng: np.random.Generator,
-    initial_belief: StateBelief,
-):
-    """Choose the downlink beamformer at each switching instant and map it
-    onto the steps it serves. Returns per-step (index, vector) or None."""
+) -> tuple[int, np.ndarray] | None:
+    """The downlink beam for the next Omega steps, as (1-based index,
+    beamformer), chosen from the tracker's belief and applied acceleration
+    estimate; None when the scenario has no beam scheme."""
     scheme = scenario.beam_scheme
     if scheme == "none":
-        return [None] * len(steps)
+        return None
     h = scenario.geometry.rsu_height_m
     num_antennas = scenario.array.num_antennas
-    assignments: list[tuple[int, np.ndarray] | None] = [None] * len(steps)
-    for tau in range(0, len(steps), scenario.omega):
-        belief = initial_belief if tau == 0 else steps[tau - 1].belief
-        alpha_hat = None if tau == 0 else steps[tau - 1].alpha_applied
-        span = range(tau, min(tau + scenario.omega, len(steps)))
-        if scheme == "codebook":
-            preds = selector_mod.extrapolate(
-                belief, scenario.motion, alpha_hat, scenario.omega
-            )
-            dirs = [selector_mod.direction_distribution(mean, cov, h) for mean, cov in preds]
-            ideal = selector_mod.ideal_bp(dirs, num_antennas, book.grid_size)
-            q_hat, word = selector_mod.select(book, ideal)
-            choice = (q_hat, word.u)
-        elif scheme == "random":
-            q_hat = int(rng.integers(0, book.size)) + 1
-            choice = (q_hat, book.codewords[q_hat - 1].u)
-        else:
-            if scheme == "dft1":
-                psi = selector_mod.dft_midpoint_direction(
-                    belief, scenario.motion, scenario.omega, h, alpha_hat
-                )
-            else:
-                psi = g_of_state(belief.mean, h)
-            index, codeword = selector_mod.dft_beam(psi, num_antennas)
-            choice = (index + 1, codeword)
-        for idx in span:
-            assignments[idx] = choice
-    return assignments
+    if scheme == "codebook":
+        preds = selector_mod.extrapolate(belief, scenario.motion, alpha_hat, scenario.omega)
+        dirs = [selector_mod.direction_distribution(mean, cov, h) for mean, cov in preds]
+        ideal = selector_mod.ideal_bp(dirs, num_antennas, book.grid_size)
+        q_hat, word = selector_mod.select(book, ideal)
+        return q_hat, word.u
+    if scheme == "random":
+        q_hat = int(rng.integers(0, book.size)) + 1
+        return q_hat, book.codewords[q_hat - 1].u
+    if scheme == "dft1":
+        psi = selector_mod.dft_midpoint_direction(
+            belief, scenario.motion, scenario.omega, h, alpha_hat
+        )
+    else:
+        psi = g_of_state(belief.mean, h)
+    index, codeword = selector_mod.dft_beam(psi, num_antennas)
+    return index + 1, codeword
 
 
 def run_trial(
@@ -267,23 +218,40 @@ def run_trial(
     trial_idx: int,
     book: Codebook | None = None,
 ) -> list[TrialRecord]:
-    """One independent trial: tracking plus periodic beam selection."""
+    """One independent trial, one pass per sounding period: advance the
+    truth, draw the fading, every Omega steps choose the downlink beam from
+    the belief the tracker holds before the step, track, and record.
+
+    The random beam scheme draws from a child stream of the trial's stream,
+    so the tracking draws are the same under every beam scheme."""
     if book is None:
         book = resolve_codebook(scenario)
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, trial_idx]))
-    initial_belief, steps = simulate_tracking_trial(scenario, rng)
-    assignments = _assign_beams(scenario, steps, book, rng, initial_belief)
-
+    beam_rng = rng.spawn(1)[0]
+    tracker = make_tracker(scenario, rng)
+    fading = FadingProcess(rng, scenario.fading)
+    coherence = scenario.coherence_steps or scenario.horizon
+    sounding_rng = None if scenario.noise_free else rng
     array = scenario.array
     h = scenario.geometry.rsu_height_m
+
+    truth = scenario.t0
+    alpha = rng.normal(0.0, scenario.motion.sigma_alpha)
+    beam = None
     records: list[TrialRecord] = []
-    for st, beam in zip(steps, assignments):
-        gain = rate = None
-        beam_index = None
+    for step_idx in range(1, scenario.horizon + 1):
+        if step_idx > 1 and (step_idx - 1) % coherence == 0:
+            alpha = rng.normal(0.0, scenario.motion.sigma_alpha)
+        truth = step_truth(rng, scenario.motion, truth, alpha)
+        beta = fading.step()
+        if (step_idx - 1) % scenario.omega == 0:
+            beam = _choose_beam(scenario, book, tracker.belief, tracker.alpha_applied, beam_rng)
+        st = tracker.step(truth, beta, sounding_rng)
+        gain = rate = beam_index = None
         if beam is not None:
             beam_index, c_vec = beam
-            psi_true, rho = vehicle_link(array, st.truth.x, st.truth.y, h)
-            hvec = channel_vector(st.beta, psi_true, array.num_antennas)
+            psi_true, rho = vehicle_link(array, truth.x, truth.y, h)
+            hvec = channel_vector(beta, psi_true, array.num_antennas)
             power = abs(np.vdot(hvec, c_vec)) ** 2
             norm2 = float(np.real(np.vdot(hvec, hvec)))
             gain = power / norm2 if norm2 > 0 else 0.0
@@ -291,11 +259,11 @@ def run_trial(
         records.append(
             TrialRecord(
                 trial=trial_idx,
-                step=st.step,
-                time_s=st.step * scenario.motion.ts,
-                x_true=st.truth.x,
-                y_true=st.truth.y,
-                v_true=st.truth.v,
+                step=step_idx,
+                time_s=step_idx * scenario.motion.ts,
+                x_true=truth.x,
+                y_true=truth.y,
+                v_true=truth.v,
                 x_hat=float(st.belief.mean[0]),
                 y_hat=float(st.belief.mean[1]),
                 v_hat=float(st.belief.mean[2]),
@@ -352,20 +320,9 @@ def summarize(
     )
 
 
-_WORKER_STATE: dict = {}
-
-
-def _init_worker(scenario: Scenario, book: Codebook | None):
-    single_blas_thread()
-    _WORKER_STATE["args"] = (scenario, book)
-
-
-def _worker_trial(trial_idx: int) -> list[TrialRecord]:
-    scenario, book = _WORKER_STATE["args"]
-    return run_trial(scenario, trial_idx, book=book)
-
-
-def resolve_codebook(scenario: Scenario, book: Codebook | None = None) -> Codebook | None:
+def resolve_codebook(scenario: Scenario, book: Codebook | None = None,
+                     workers: int | None = None) -> Codebook | None:
+    """book, else the scenario's codebook: loaded, or fitted on `workers` processes."""
     if book is not None or scenario.beam_scheme not in ("codebook", "random"):
         return book
     if scenario.codebook_path:
@@ -378,6 +335,7 @@ def resolve_codebook(scenario: Scenario, book: Codebook | None = None) -> Codebo
             scenario.array.num_rf_chains,
             list(scenario.codebook_codewords),
             seed=scenario.seed,
+            workers=workers,
         )
     raise ValueError(
         f"beam scheme {scenario.beam_scheme!r} needs a codebook path or build parameters"
@@ -391,29 +349,26 @@ def run_experiment(
 ) -> list[ExperimentResult]:
     """Run all trials for each transmit-power setting of the scenario.
 
-    Trials execute on a process pool (size from V2I_THREADS or the CPU
-    count); aggregation folds in trial order so the output is identical for
-    any worker count.
+    Every (power, trial) pair goes to one process pool per run (size from
+    V2I_THREADS or the CPU count; see codebook.parallel_map); results come
+    back in submission order and aggregation folds in trial order, so the
+    output is identical for any worker count.
     """
-    book = resolve_codebook(scenario, book)
-    workers = default_workers() if workers is None else workers
+    workers = resolve_workers(workers)
+    book = resolve_codebook(scenario, book, workers)
+    at_powers = [
+        replace(scenario, array=replace(scenario.array, tx_power_mw=dbm_to_mw(power)))
+        for power in scenario.tx_powers_dbm
+    ]
+    per_trial = parallel_map(
+        functools.partial(run_trial, book=book),
+        [(at_power, t) for at_power in at_powers for t in range(scenario.trials)],
+        workers,
+    )
     results = []
-    for power in scenario.tx_powers_dbm:
-        at_power = replace(
-            scenario, array=replace(scenario.array, tx_power_mw=dbm_to_mw(power))
-        )
-        if workers > 1 and scenario.trials > 1:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(at_power, book),
-            ) as pool:
-                per_trial = list(
-                    pool.map(_worker_trial, range(scenario.trials), chunksize=8)
-                )
-        else:
-            per_trial = [run_trial(at_power, t, book=book) for t in range(scenario.trials)]
-        records = [r for trial in per_trial for r in trial]
+    for i, power in enumerate(scenario.tx_powers_dbm):
+        records = [r for trial in per_trial[i * scenario.trials:(i + 1) * scenario.trials]
+                   for r in trial]
         label = f"{scenario.name}@{power:g}dBm"
         summary = summarize(records, label, power, scenario.horizon)
         results.append(

@@ -8,6 +8,7 @@ Run with: pytest tests/test_acceptance.py -v -s
 """
 
 import dataclasses
+import functools
 import math
 import time
 
@@ -22,7 +23,7 @@ from v2ibeam.codebook import (
     integrate_bp,
     narrowing_threshold,
 )
-from v2ibeam.ekf import StateBelief, g_of_state, jacobian, update
+from v2ibeam.ekf import StateBelief, Tracker, g_of_state, jacobian, update
 from v2ibeam.motion import MotionModel, long_term
 from v2ibeam.sounding import (
     dft_manifold_combiner,
@@ -255,7 +256,19 @@ def test_criterion_8_bitwise_determinism():
             assert harness.records_to_csv(again[0].records) == runs[0]
 
 
-def test_criterion_9_ekf_sanity():
+def _recording(step, log):
+    """A tracker step method that also appends each TrackStep to log."""
+
+    @functools.wraps(step)
+    def recorded(self, *args, **kwargs):
+        out = step(self, *args, **kwargs)
+        log.append(out)
+        return out
+
+    return recorded
+
+
+def test_criterion_9_ekf_sanity(monkeypatch):
     with budget(9, 120):
         # zero-innovation fixed point is bit-exact
         m, h = 32, 7.5
@@ -268,13 +281,19 @@ def test_criterion_9_ekf_sanity():
         updated = update(belief, obs, h_pred, h_dot, grad)
         assert np.all(updated.mean == belief.mean)
 
-        # covariance numerically PSD on every step of every bundled scenario
+        # covariance numerically PSD on every step of every bundled scenario,
+        # read from the trial loop's tracker steps; the tracking draws do not
+        # depend on the beam scheme, so no codebook is built
+        steps = []
+        for cls in (Tracker, harness.FeedbackTracker):
+            monkeypatch.setattr(cls, "step", _recording(cls.step, steps))
         for name in harness.bundled_scenario_names():
             scenario = dataclasses.replace(
-                harness.bundled_scenario(name), trials=1
+                harness.bundled_scenario(name), trials=1, beam_scheme="none"
             )
-            rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, 0]))
-            _, steps = harness.simulate_tracking_trial(scenario, rng)
+            steps.clear()
+            harness.run_trial(scenario, 0)
+            assert len(steps) == scenario.horizon
             for st in steps:
                 cov = st.belief.cov
                 assert np.max(np.abs(cov - cov.T)) <= 1e-10

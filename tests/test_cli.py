@@ -140,6 +140,43 @@ def test_simulate_sweep_tags_outputs(runner, tmp_path):
     assert (out / "tiny_20dBm_results.csv").exists()
 
 
+@pytest.mark.parametrize("powers", [["10", "10"], ["10", "10.0000001"], ["0", "20", "20.0"]])
+def test_simulate_rejects_power_labels_that_collide(runner, tmp_path, powers):
+    scen = write_scenario(tmp_path)
+    args = [arg for power in powers for arg in ("--tx-power", power)]
+    r = runner.invoke(main, ["simulate", scen, "--workers", "1", *args,
+                             "--out-dir", str(tmp_path / "out")], prog_name="v2ibeam")
+    assert r.exit_code == 2
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert err["error"] == "validation"
+    assert "label" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "{scen}", "--out-dir", "{out}"],
+    ["design-codebook", "--antennas", "8", "--codewords", "4", "--out", "{out}"],
+])
+@pytest.mark.parametrize("workers,env,source", [
+    ("0", None, "workers"),
+    ("-3", None, "workers"),
+    (None, "0", "V2I_THREADS"),
+    (None, "-2", "V2I_THREADS"),
+    (None, "abc", "V2I_THREADS"),
+])
+def test_worker_counts_below_one_exit_2(runner, tmp_path, command, workers, env, source):
+    out = tmp_path / "out"
+    args = [a.format(scen=write_scenario(tmp_path), out=out) for a in command]
+    if workers is not None:
+        args += ["--workers", workers]
+    r = runner.invoke(main, args, prog_name="v2ibeam", env={"V2I_THREADS": env})
+    assert r.exit_code == 2
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert err["error"] == "validation"
+    assert source in err["message"]
+    assert not out.exists()
+
+
 def test_simulate_unknown_scenario_exits_2(runner, tmp_path):
     r = runner.invoke(main, ["simulate", str(tmp_path / "nope.json")],
                       prog_name="v2ibeam")
@@ -178,6 +215,7 @@ def test_simulate_unknown_scenario_exits_2(runner, tmp_path):
     ("tracking", "accel_min_step", 0),
     ("initial_state", "speed_kmh", -10.0),
     (None, "seed", -1),
+    ("array", "tx_power_dbm", [10, 10.0000001]),
 ])
 def test_simulate_malformed_scenario_exits_2(runner, tmp_path, section, key, value):
     doc = json.loads(json.dumps(TINY_SCENARIO))
@@ -327,6 +365,24 @@ def test_codebook_pipeline_design_simulate_report(runner, tmp_path):
     r = invoke(runner, ["report", str(out / "tiny_results.csv")])
     assert r.exit_code == 0
     assert "mean_gain_norm" in r.output
+
+
+def test_simulate_rejects_codebook_missing_a_region(runner, tmp_path):
+    book = tmp_path / "book8.json"
+    r = invoke(runner, ["design-codebook", "--antennas", "8", "--rf-chains", "2",
+                        "--codewords", "4", "--seed", "1",
+                        "--out", str(book), "--workers", "1"])
+    assert r.exit_code == 0, r.output
+    doc = json.loads(book.read_text())
+    doc["regions"].pop()
+    book.write_text(json.dumps(doc))
+    scen = write_scenario(tmp_path, dict(TINY_SCENARIO, beam={"scheme": "codebook"}))
+    r = runner.invoke(main, ["simulate", scen, "--workers", "1", "--codebook", str(book),
+                             "--out-dir", str(tmp_path / "out")], prog_name="v2ibeam")
+    assert r.exit_code == 2
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert "'regions' counts 3 codewords, 'Q' is 4" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_rejects_codebook_grid_below_antennas(runner, tmp_path):

@@ -258,6 +258,24 @@ def test_pattern_grid_must_cover_the_antennas():
             load_codebook(path)
 
 
+@pytest.mark.parametrize("corrupt,field", [
+    (lambda doc: doc["regions"].pop(), "'regions'"),
+    (lambda doc: doc["codewords"].pop(), "'codewords'"),
+    (lambda doc: doc["resolutions"].append(1), "'resolutions'"),
+    (lambda doc: doc.update(Q=5), "'regions'"),
+    (lambda doc: doc["codewords"][1].pop(), r"'codewords'\[1\] has 7 entries, 'M' is 8"),
+], ids=["regions", "codewords", "resolutions", "Q", "codeword_length"])
+def test_load_codebook_rejects_inconsistent_counts(tmp_path, corrupt, field):
+    book = build_codebook(GEOM, 8.5, 8, 2, 4, seed=0, iters=1, inits=1, workers=1)
+    path = tmp_path / "book.json"
+    save_codebook(book, str(path))
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=field):
+        load_codebook(str(path))
+
+
 def test_fit_recovers_realizable_atom_pattern():
     m = 16
     d = SteeringDictionary.build(m)

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from v2ibeam import harness
+from v2ibeam import codebook, harness
 from v2ibeam.array_channel import array_response, spatial_frequency
 from v2ibeam.codebook import build_codebook
 from v2ibeam.harness import (
+    CSV_COLUMNS,
     TrialRecord,
     bundled_scenario,
     records_from_csv,
@@ -274,13 +275,31 @@ def test_run_trial_deterministic():
 
 
 def test_experiment_deterministic_and_worker_invariant():
-    s = small_scenario()
+    # one pool serves every (power, trial) pair, so powers interleave in it
+    s = small_scenario(tx_powers_dbm=(0.0, 20.0))
     res1 = run_experiment(s, workers=1)
     res2 = run_experiment(s, workers=2)
-    csv1 = records_to_csv(res1[0].records)
-    csv2 = records_to_csv(res2[0].records)
-    assert csv1 == csv2
-    assert res1[0].summary == res2[0].summary
+    assert [r.tx_power_dbm for r in res2] == [0.0, 20.0]
+    for a, b in zip(res1, res2, strict=True):
+        assert records_to_csv(a.records) == records_to_csv(b.records)
+        assert a.summary == b.summary
+    assert records_to_csv(res1[0].records) != records_to_csv(res1[1].records)
+
+
+def test_tracking_columns_do_not_depend_on_the_beam_scheme():
+    # the random scheme draws from a child stream, so every scheme sees the
+    # same trajectories and the same tracking
+    geom = small_scenario().geometry
+    book = build_codebook(geom, 8.5, 8, 2, 4, seed=0, workers=1)
+    tracking = CSV_COLUMNS[:CSV_COLUMNS.index("alpha_hat") + 1]
+    columns = {}
+    for scheme in ("none", "dft2", "codebook", "random"):
+        records = run_experiment(small_scenario(beam_scheme=scheme, trials=2),
+                                 workers=1, book=book)[0].records
+        columns[scheme] = [tuple(getattr(r, c) for c in tracking) for r in records]
+    assert columns["dft2"] == columns["none"]
+    assert columns["codebook"] == columns["none"]
+    assert columns["random"] == columns["none"]
 
 
 def test_trial_reordering_leaves_aggregates():
@@ -401,6 +420,21 @@ def test_codebook_scheme_runs_with_prebuilt_book():
     assert all(1 <= r.beam_index <= 4 for r in records)
 
 
+def test_codebook_fitted_in_the_run_follows_its_worker_count(monkeypatch):
+    # a serial fit must also hand out the arrays a pool fit returns: a
+    # strided codeword rounds np.vdot differently in the last bit
+    s = small_scenario(beam_scheme="codebook", codebook_codewords=(4,), trials=2)
+    pooled = run_experiment(s, workers=2)[0].records
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(codebook, "ProcessPoolExecutor", no_pool)
+    serial = run_experiment(s, workers=1)[0].records
+    assert records_to_csv(serial) == records_to_csv(pooled)
+    assert all(1 <= r.beam_index <= 4 for r in serial)
+
+
 def test_experiment_with_random_scheme_and_book():
     geom = small_scenario().geometry
     book = build_codebook(geom, 8.5, 8, 2, 4, seed=0, workers=1)
@@ -457,13 +491,16 @@ def test_dft2_runs_with_odd_omega():
     # scheme 2 steers at the current estimate, so any switching period works
     s = small_scenario(beam_scheme="dft2", omega=7, trials=1)
     m, h = s.array.num_antennas, s.geometry.rsu_height_m
-    initial, steps = harness.simulate_tracking_trial(
+    initial = harness.make_tracker(
         s, np.random.default_rng(np.random.SeedSequence([s.seed, 0]))
-    )
+    ).belief
     records = run_trial(s, 0)
     for tau in range(0, s.horizon, s.omega):
-        belief = initial if tau == 0 else steps[tau - 1].belief
-        psi = spatial_frequency(float(belief.mean[0]), float(belief.mean[1]), h)
+        if tau == 0:
+            x_hat, y_hat = float(initial.mean[0]), float(initial.mean[1])
+        else:
+            x_hat, y_hat = records[tau - 1].x_hat, records[tau - 1].y_hat
+        psi = spatial_frequency(x_hat, y_hat, h)
         expected = round((psi + math.pi) / (2.0 * math.pi / m)) % m + 1
         assert {r.beam_index for r in records[tau:tau + s.omega]} == {expected}
 
