@@ -13,6 +13,7 @@ from .array_channel import (
 from .codebook import Codebook, build_codebook, load_codebook, save_codebook
 from .ekf import StateBelief, Tracker, init_belief, predict, update
 from .harness import (
+    RecordBlock,
     Scenario,
     bundled_scenario,
     load_scenario,
@@ -28,6 +29,7 @@ __all__ = [
     "ArrayConfig",
     "Codebook",
     "MotionModel",
+    "RecordBlock",
     "RicianConfig",
     "RoadGeometry",
     "Scenario",

@@ -220,9 +220,9 @@ def track_demo(scenario_ref, steps, seed, every, csv_path):
         return
     click.echo(f"{'step':>5} {'t[s]':>7} {'x':>9} {'x_hat':>9} "
                f"{'v':>8} {'v_hat':>8} {'alpha_hat':>9}")
-    for r in records:
-        if r.step % every and r.step != len(records):
-            continue
+    step = records.columns["step"]
+    for i in np.flatnonzero((step % every == 0) | (step == len(records))):
+        r = records[i]
         alpha = "-" if r.alpha_hat is None else f"{r.alpha_hat:9.4f}"
         click.echo(
             f"{r.step:>5} {r.time_s:7.2f} {r.x_true:9.3f} {r.x_hat:9.3f} "
@@ -244,7 +244,7 @@ def report(results_csv, label, out, svg_path):
         records = records_from_csv(fh.read())
     if not records:
         raise ValueError(f"{results_csv} has no data rows")
-    horizon = max(r.step for r in records)
+    horizon = int(records.columns["step"].max())
     label = label or os.path.splitext(os.path.basename(results_csv))[0]
     summary = summarize(records, label, math.nan, horizon)
     text = summaries_to_csv([summary])

@@ -4,6 +4,10 @@ A scenario bundles road geometry, array and link budget, vehicle kinematics,
 fading, the tracking variant, and a downlink beam scheme. Each trial owns an
 independent RNG substream derived from (seed, trial index), so results are
 reproducible bit-for-bit regardless of worker count or execution order.
+
+Trial results travel as a RecordBlock: one array per TrialRecord field, from
+run_trial through run_experiment to the results CSV and summarize. Rows
+(TrialRecord objects) exist only in the block's row view.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ import io
 import json
 import math
 import numbers
-import operator
 import os
 import typing
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -118,6 +122,93 @@ class TrialRecord:
 
 
 CSV_COLUMNS = tuple(typing.get_type_hints(TrialRecord))
+BEAM_COLUMNS = ("beam_index", "gain_norm", "rate_bps_hz")  # set or empty together
+ROWS_PER_CHUNK = 4096  # rows turned into Python objects at a time
+
+
+def _column_rules():
+    """(column, parse, optional) per results-CSV column, from TrialRecord's
+    field types: `float | None` parses as float and may be empty."""
+    for name, hint in typing.get_type_hints(TrialRecord).items():
+        kinds = typing.get_args(hint) or (hint,)
+        parse = next(k for k in kinds if k is not type(None))
+        yield name, parse, type(None) in kinds
+
+
+_COLUMN_RULES = tuple(_column_rules())
+_DTYPES = {name: np.int64 if parse is int else np.float64 for name, parse, _ in _COLUMN_RULES}
+
+
+@dataclass(frozen=True, eq=False)
+class RecordBlock:
+    """Results-CSV rows stored as columns: `columns` maps each of CSV_COLUMNS
+    to one array. alpha_hat holds a value only where has_alpha is set, and
+    the BEAM_COLUMNS only where has_beam is set; elsewhere the cell is empty.
+
+    TrialRecord is the row view: len(block) counts rows, block[i] is a
+    TrialRecord, block[a:b] is a block, and iteration yields TrialRecords
+    built ROWS_PER_CHUNK rows at a time. from_rows builds a block from rows.
+    """
+
+    columns: dict[str, np.ndarray]
+    has_alpha: np.ndarray
+    has_beam: np.ndarray
+
+    @staticmethod
+    def from_rows(rows: Iterable[TrialRecord]) -> RecordBlock:
+        """The block of these rows; a row whose BEAM_COLUMNS are neither all
+        set nor all None is a ValueError."""
+        rows = list(rows)
+        cells = {name: [getattr(row, name) for row in rows] for name in CSV_COLUMNS}
+        has_beam, *others = ([cell is not None for cell in cells[name]] for name in BEAM_COLUMNS)
+        if any(other != has_beam for other in others):
+            raise ValueError("beam_index, gain_norm and rate_bps_hz must be all set or all None")
+        columns = {name: np.array([0 if cell is None else cell for cell in column], _DTYPES[name])
+                   for name, column in cells.items()}
+        has_alpha = np.array([cell is not None for cell in cells["alpha_hat"]], dtype=bool)
+        return RecordBlock(columns, has_alpha, np.array(has_beam, dtype=bool))
+
+    @staticmethod
+    def concat(blocks: list[RecordBlock]) -> RecordBlock:
+        """The rows of every block, in order, as one block."""
+        return RecordBlock(
+            {name: np.concatenate([b.columns[name] for b in blocks]) for name in CSV_COLUMNS},
+            np.concatenate([b.has_alpha for b in blocks]),
+            np.concatenate([b.has_beam for b in blocks]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.has_beam)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RecordBlock({name: column[index] for name, column in self.columns.items()},
+                               self.has_alpha[index], self.has_beam[index])
+        i = range(len(self))[index]
+        return TrialRecord(*(cells[0] for cells in self.cells(i, i + 1)))
+
+    def __iter__(self):
+        for start in range(0, len(self), ROWS_PER_CHUNK):
+            yield from map(TrialRecord, *self.cells(start, start + ROWS_PER_CHUNK))
+
+    def cells(self, start: int, stop: int) -> list[list]:
+        """Per column, rows start..stop-1 as Python ints and floats, None
+        where the cell is empty."""
+        out = []
+        for name in CSV_COLUMNS:
+            column = self.columns[name][start:stop]
+            held = (self.has_alpha if name == "alpha_hat"
+                    else self.has_beam if name in BEAM_COLUMNS else None)
+            held = None if held is None else held[start:stop]
+            if held is None or held.all():
+                out.append(column.tolist())
+            elif not held.any():
+                out.append([None] * len(column))
+            else:
+                cells = column.astype(object)
+                cells[~held] = None
+                out.append(cells.tolist())
+        return out
 
 
 @dataclass(frozen=True)
@@ -137,7 +228,7 @@ class MetricSummary:
 @dataclass(frozen=True)
 class ExperimentResult:
     tx_power_dbm: float
-    records: list[TrialRecord]
+    records: RecordBlock
     summary: MetricSummary
 
 
@@ -217,10 +308,11 @@ def run_trial(
     scenario: Scenario,
     trial_idx: int,
     book: Codebook | None = None,
-) -> list[TrialRecord]:
+) -> RecordBlock:
     """One independent trial, one pass per sounding period: advance the
     truth, draw the fading, every Omega steps choose the downlink beam from
-    the belief the tracker holds before the step, track, and record.
+    the belief the tracker holds before the step, track, and write the
+    step's row into the trial's columns. Returns the trial's horizon rows.
 
     The random beam scheme draws from a child stream of the trial's stream,
     so the tracking draws are the same under every beam scheme."""
@@ -235,88 +327,97 @@ def run_trial(
     array = scenario.array
     h = scenario.geometry.rsu_height_m
 
+    n = scenario.horizon
+    true_state = np.empty((n, 3))
+    estimate = np.empty((n, 3))
+    alpha_hat = np.zeros(n)
+    has_alpha = np.zeros(n, dtype=bool)
+    beam_index = np.zeros(n, dtype=np.int64)
+    gain_norm = np.zeros(n)
+    rate = np.zeros(n)
     truth = scenario.t0
     alpha = rng.normal(0.0, scenario.motion.sigma_alpha)
     beam = None
-    records: list[TrialRecord] = []
-    for step_idx in range(1, scenario.horizon + 1):
-        if step_idx > 1 and (step_idx - 1) % coherence == 0:
+    for k in range(n):
+        if k and k % coherence == 0:
             alpha = rng.normal(0.0, scenario.motion.sigma_alpha)
         truth = step_truth(rng, scenario.motion, truth, alpha)
         beta = fading.step()
-        if (step_idx - 1) % scenario.omega == 0:
+        if k % scenario.omega == 0:
             beam = _choose_beam(scenario, book, tracker.belief, tracker.alpha_applied, beam_rng)
         st = tracker.step(truth, beta, sounding_rng)
-        gain = rate = beam_index = None
+        true_state[k] = truth.x, truth.y, truth.v
+        estimate[k] = st.belief.mean
+        if st.alpha_applied is not None:
+            alpha_hat[k] = st.alpha_applied
+            has_alpha[k] = True
         if beam is not None:
-            beam_index, c_vec = beam
+            beam_index[k], c_vec = beam
             psi_true, rho = vehicle_link(array, truth.x, truth.y, h)
             hvec = channel_vector(beta, psi_true, array.num_antennas)
             power = abs(np.vdot(hvec, c_vec)) ** 2
             norm2 = float(np.real(np.vdot(hvec, hvec)))
-            gain = power / norm2 if norm2 > 0 else 0.0
-            rate = math.log2(1.0 + rho * power)
-        records.append(
-            TrialRecord(
-                trial=trial_idx,
-                step=step_idx,
-                time_s=step_idx * scenario.motion.ts,
-                x_true=truth.x,
-                y_true=truth.y,
-                v_true=truth.v,
-                x_hat=float(st.belief.mean[0]),
-                y_hat=float(st.belief.mean[1]),
-                v_hat=float(st.belief.mean[2]),
-                alpha_hat=st.alpha_applied,
-                beam_index=beam_index,
-                gain_norm=gain,
-                rate_bps_hz=rate,
-            )
-        )
-    return records
+            gain_norm[k] = power / norm2 if norm2 > 0 else 0.0
+            rate[k] = math.log2(1.0 + rho * power)
+    step = np.arange(1, n + 1)
+    columns = dict(
+        trial=np.full(n, trial_idx, dtype=np.int64),
+        step=step,
+        time_s=step * scenario.motion.ts,
+        x_true=true_state[:, 0], y_true=true_state[:, 1], v_true=true_state[:, 2],
+        x_hat=estimate[:, 0], y_hat=estimate[:, 1], v_hat=estimate[:, 2],
+        alpha_hat=alpha_hat,
+        beam_index=beam_index,
+        gain_norm=gain_norm,
+        rate_bps_hz=rate,
+    )
+    # the beam is chosen on the first step, so either every row has one or none
+    return RecordBlock(columns, has_alpha, np.full(n, beam is not None))
 
 
 def summarize(
-    records: list[TrialRecord], scenario_label: str, tx_power_dbm: float, horizon: int
+    records: RecordBlock, scenario_label: str, tx_power_dbm: float, horizon: int
 ) -> MetricSummary:
     """Aggregate NMSE / gain / rate. Steps whose true denominator is within
-    NMSE_DENOM_FLOOR of zero are excluded (count reported)."""
-    sq_x = [0.0] * horizon
-    n_x = [0] * horizon
-    sq_v = [0.0] * horizon
-    n_v = [0] * horizon
-    excl_x = excl_v = 0
-    gains, rates = [], []
-    for r in records:
-        i = r.step - 1
-        if abs(r.x_true) >= NMSE_DENOM_FLOOR:
-            sq_x[i] += ((r.x_true - r.x_hat) / r.x_true) ** 2
-            n_x[i] += 1
-        else:
-            excl_x += 1
-        if abs(r.v_true) >= NMSE_DENOM_FLOOR:
-            sq_v[i] += ((r.v_true - r.v_hat) / r.v_true) ** 2
-            n_v[i] += 1
-        else:
-            excl_v += 1
-        if r.gain_norm is not None:
-            gains.append(r.gain_norm)
-            rates.append(r.rate_bps_hz)
-    series_x = tuple(s / c if c else math.nan for s, c in zip(sq_x, n_x))
-    series_v = tuple(s / c if c else math.nan for s, c in zip(sq_v, n_v))
-    total_x = sum(sq_x) / max(sum(n_x), 1)
-    total_v = sum(sq_v) / max(sum(n_v), 1)
+    NMSE_DENOM_FLOOR of zero are excluded (count reported).
+
+    Per-step sums accumulate in record order (np.bincount adds its weights
+    in input order) and the totals are Python sums over the steps, so the
+    result does not depend on how the records are stored. A step outside
+    1..horizon is a ValueError."""
+    step = records.columns["step"]
+    if len(step) and not (step.min() >= 1 and step.max() <= horizon):
+        raise ValueError(f"record steps must lie in 1..{horizon}, "
+                         f"got {step.min()}..{step.max()}")
+    sums, counts, excluded = [], [], []
+    for name in ("x", "v"):
+        true, est = records.columns[f"{name}_true"], records.columns[f"{name}_hat"]
+        keep = np.abs(true) >= NMSE_DENOM_FLOOR
+        # float_power squares through the C library's pow, as Python's float ** does
+        sq = np.float_power((true[keep] - est[keep]) / true[keep], 2)
+        at = step[keep] - 1
+        sums.append(np.bincount(at, weights=sq, minlength=horizon))
+        counts.append(np.bincount(at, minlength=horizon))
+        excluded.append(len(step) - int(np.count_nonzero(keep)))
+    series = []
+    for sq, count in zip(sums, counts):
+        per_step = np.full(horizon, math.nan)
+        np.divide(sq, count, out=per_step, where=count > 0)
+        series.append(tuple(per_step.tolist()))
+    totals = [sum(sq.tolist()) / max(sum(count.tolist()), 1) for sq, count in zip(sums, counts)]
+    beam = records.has_beam
+    gains, rates = records.columns["gain_norm"][beam], records.columns["rate_bps_hz"][beam]
     return MetricSummary(
         scenario=scenario_label,
         tx_power_dbm=tx_power_dbm,
-        nmse_x=total_x,
-        nmse_v=total_v,
-        mean_gain=float(np.mean(gains)) if gains else math.nan,
-        mean_rate=float(np.mean(rates)) if rates else math.nan,
-        excluded_x=excl_x,
-        excluded_v=excl_v,
-        nmse_x_series=series_x,
-        nmse_v_series=series_v,
+        nmse_x=totals[0],
+        nmse_v=totals[1],
+        mean_gain=float(np.mean(gains)) if len(gains) else math.nan,
+        mean_rate=float(np.mean(rates)) if len(rates) else math.nan,
+        excluded_x=excluded[0],
+        excluded_v=excluded[1],
+        nmse_x_series=series[0],
+        nmse_v_series=series[1],
     )
 
 
@@ -352,7 +453,8 @@ def run_experiment(
     Every (power, trial) pair goes to one process pool per run (size from
     V2I_THREADS or the CPU count; see codebook.parallel_map); results come
     back in submission order and aggregation folds in trial order, so the
-    output is identical for any worker count.
+    output is identical for any worker count. Each power's trial blocks are
+    stacked into one RecordBlock and released as the next power is stacked.
     """
     workers = resolve_workers(workers)
     book = resolve_codebook(scenario, book, workers)
@@ -366,9 +468,9 @@ def run_experiment(
         workers,
     )
     results = []
-    for i, power in enumerate(scenario.tx_powers_dbm):
-        records = [r for trial in per_trial[i * scenario.trials:(i + 1) * scenario.trials]
-                   for r in trial]
+    for power in scenario.tx_powers_dbm:
+        records = RecordBlock.concat(per_trial[:scenario.trials])
+        del per_trial[:scenario.trials]
         label = f"{scenario.name}@{power:g}dBm"
         summary = summarize(records, label, power, scenario.horizon)
         results.append(
@@ -377,36 +479,33 @@ def run_experiment(
     return results
 
 
-def records_to_csv(records: list[TrialRecord]) -> str:
+def records_to_csv(records: RecordBlock) -> str:
     """Results CSV: csv.writer leaves None cells empty and writes every float
-    in its shortest round-trip form."""
+    in its shortest round-trip form; rows go out ROWS_PER_CHUNK at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    writer.writerows(map(operator.attrgetter(*CSV_COLUMNS), records))
+    for start in range(0, len(records), ROWS_PER_CHUNK):
+        writer.writerows(zip(*records.cells(start, start + ROWS_PER_CHUNK)))
     return buf.getvalue()
 
 
-def _column_rules():
-    """(column, parse, optional) per results-CSV column, from TrialRecord's
-    field types: `float | None` parses as float and may be empty."""
-    for name, hint in typing.get_type_hints(TrialRecord).items():
-        kinds = typing.get_args(hint) or (hint,)
-        parse = next(k for k in kinds if k is not type(None))
-        yield name, parse, type(None) in kinds
+_INT64 = np.iinfo(np.int64)
 
 
-_COLUMN_RULES = tuple(_column_rules())
+def records_from_csv(text: str) -> RecordBlock:
+    """Parse a results CSV (see records_to_csv) into a block; columns may
+    come in any order and extra columns are ignored.
 
-
-def records_from_csv(text: str) -> list[TrialRecord]:
-    """Parse a results CSV (see records_to_csv); columns may come in any order
-    and extra columns are ignored."""
+    Empty cells are accepted only in the optional columns, and a row's
+    BEAM_COLUMNS must be all set or all empty; an integer cell must fit in
+    int64 and a step counts from 1. Any other cell is a ValueError that names
+    its line."""
     reader = csv.DictReader(io.StringIO(text))
     missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
     if missing:
         raise ValueError(f"results CSV missing columns: {sorted(missing)}")
-    records = []
+    blocks, rows = [], []
     for row in reader:
         values = []
         for name, parse, optional in _COLUMN_RULES:
@@ -416,14 +515,23 @@ def records_from_csv(text: str) -> list[TrialRecord]:
                 continue
             try:
                 values.append(parse(cell))
+                if parse is int and not _INT64.min <= values[-1] <= _INT64.max:
+                    raise ValueError("outside int64")
                 if name == "step" and values[-1] < 1:
                     raise ValueError("steps count from 1")
             except (TypeError, ValueError):
                 raise ValueError(
                     f"results CSV line {reader.line_num}: bad {name} cell {cell!r}"
                 ) from None
-        records.append(TrialRecord(*values))
-    return records
+        record = TrialRecord(*values)
+        if len({getattr(record, name) is None for name in BEAM_COLUMNS}) > 1:
+            raise ValueError(f"results CSV line {reader.line_num}: beam_index, gain_norm "
+                             f"and rate_bps_hz must be all set or all empty")
+        rows.append(record)
+        if len(rows) == ROWS_PER_CHUNK:
+            blocks.append(RecordBlock.from_rows(rows))
+            rows = []
+    return RecordBlock.concat([*blocks, RecordBlock.from_rows(rows)])
 
 
 def summaries_to_csv(summaries: list[MetricSummary]) -> str:

@@ -70,7 +70,7 @@ def ideal_bp(
     acc = np.zeros(grid_size)
     for d in dirs:
         if d.std_psi <= delta:
-            idx = int(np.clip(round((d.mean_psi - grid[0]) / delta), 0, grid_size - 1))
+            idx = min(max(round((d.mean_psi - grid[0]) / delta), 0), grid_size - 1)
             acc[idx] += 1.0 / delta
         else:
             z = (grid - d.mean_psi) / d.std_psi

@@ -15,7 +15,7 @@ matching pursuit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -52,25 +52,36 @@ class Sounding:
 @dataclass(frozen=True)
 class SteeringDictionary:
     """Unit-norm steering atoms d_M(psi_g)/sqrt(M) on the uniform grid
-    psi_g = -pi + 2 pi g / G, G = oversampling * M."""
+    psi_g = -pi + 2 pi g / G, G = oversampling * M, with the per-dictionary
+    constants of orthogonal_matching_pursuit."""
 
     atoms: np.ndarray  # M x G
     oversampling: int = 4
+    atom_rows: np.ndarray = field(init=False, repr=False)  # G x M, atoms.T in C order
+    sign: np.ndarray = field(init=False, repr=False)  # (-1)^m, m = 0..M-1
+
+    def __post_init__(self):
+        atom_rows = np.ascontiguousarray(self.atoms.T)  # no copy for build()'s atoms
+        sign = (-1.0) ** np.arange(self.atoms.shape[0])
+        for name, value in (("atom_rows", atom_rows), ("sign", sign)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     _cache: ClassVar[dict[tuple[int, int], "SteeringDictionary"]] = {}
 
     @staticmethod
     def build(num_antennas: int, oversampling: int = 4) -> "SteeringDictionary":
         """The dictionary for (M, oversampling), built once per process and
-        shared, so its atoms are read-only."""
+        shared, so its atoms are read-only. The atoms are stored as C-ordered
+        rows, so atoms is a transposed view of atom_rows."""
         key = (num_antennas, oversampling)
         if key not in SteeringDictionary._cache:
             size = oversampling * num_antennas
             grid = -math.pi + 2.0 * math.pi * np.arange(size) / size
-            m = np.arange(num_antennas)[:, None]
-            atoms = np.exp(1j * m * grid[None, :]) / math.sqrt(num_antennas)
-            atoms.setflags(write=False)
-            SteeringDictionary._cache[key] = SteeringDictionary(atoms, oversampling)
+            m = np.arange(num_antennas)[None, :]
+            rows = np.exp(1j * m * grid[:, None]) / math.sqrt(num_antennas)
+            rows.setflags(write=False)
+            SteeringDictionary._cache[key] = SteeringDictionary(rows.T, oversampling)
         return SteeringDictionary._cache[key]
 
 
@@ -122,18 +133,18 @@ def orthogonal_matching_pursuit(
         raise ValueError("num_rf_chains must be >= 1")
     if num_rf_chains > m:
         raise ValueError("num_rf_chains cannot exceed the antenna count")
-    atoms = dictionary.atoms
-    size = atoms.shape[1]
-    sign = (-1.0) ** np.arange(m)
+    atom_rows, sign = dictionary.atom_rows, dictionary.sign
+    size = atom_rows.shape[0]
+    row_index = np.arange(rows)[:, None]
     residual = targets.astype(complex)
     basis = np.empty((rows, num_rf_chains, m), dtype=complex)
     chosen = np.empty((rows, num_rf_chains), dtype=np.intp)
     for k in range(num_rf_chains):
         corr = np.abs(np.fft.fft(residual * sign, n=size))
         if k:
-            corr[np.arange(rows)[:, None], chosen[:, :k]] = -1.0
+            corr[row_index, chosen[:, :k]] = -1.0
         chosen[:, k] = np.argmax(corr, axis=1)
-        q = atoms.T[chosen[:, k]]
+        q = atom_rows[chosen[:, k]]
         if k:
             kept = basis[:, :k]
             for _ in range(2):
@@ -146,7 +157,7 @@ def orthogonal_matching_pursuit(
     zero = norm == 0.0
     if zero.any():
         norm[zero] = 1.0
-        fit[zero] = atoms.T[chosen[zero, 0]]
+        fit[zero] = atom_rows[chosen[zero, 0]]
     return fit / norm[:, None], chosen
 
 

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from v2ibeam.cli import main
-from v2ibeam.harness import TrialRecord, records_to_csv
+from v2ibeam.harness import RecordBlock, TrialRecord, records_to_csv
 
 DATA = Path(__file__).parent / "data"
 
@@ -313,16 +313,22 @@ def test_report_roundtrip(runner, tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
-_STEP_ZERO = records_to_csv([
+_STEP_ZERO = records_to_csv(RecordBlock.from_rows([
     TrialRecord(0, 0, 0.0, -50.0, 8.5, 19.4, -50.1, 8.5, 19.5, None, None, None, None),
     TrialRecord(0, 1, 0.01, -49.8, 8.5, 19.4, -49.9, 8.5, 19.5, None, None, None, None),
-])
+]))
+
+
+_GAIN_WITHOUT_RATE = records_to_csv(RecordBlock.from_rows([
+    TrialRecord(0, 1, 0.01, -49.8, 8.5, 19.4, -49.9, 8.5, 19.5, None, 3, 0.9, 7.2),
+])).replace(",7.2\n", ",\n")
 
 
 @pytest.mark.parametrize("text,message", [
     ("a,b,c\n1,2,3\n", "missing columns"),
     (_STEP_ZERO, "line 2: bad step cell '0'"),
-], ids=["foreign-header", "step-zero"])
+    (_GAIN_WITHOUT_RATE, "line 2: beam_index, gain_norm and rate_bps_hz must be all set"),
+], ids=["foreign-header", "step-zero", "gain-without-rate"])
 def test_report_rejects_malformed_csv(runner, tmp_path, text, message):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)

@@ -13,6 +13,8 @@ from v2ibeam.array_channel import array_response, spatial_frequency
 from v2ibeam.codebook import build_codebook
 from v2ibeam.harness import (
     CSV_COLUMNS,
+    NMSE_DENOM_FLOOR,
+    RecordBlock,
     TrialRecord,
     bundled_scenario,
     records_from_csv,
@@ -309,8 +311,8 @@ def test_trial_reordering_leaves_aggregates():
     # execute "out of order", aggregate in trial order
     rev = [r for t in reversed(per_trial) for r in t]
     rev_sorted = sorted(rev, key=lambda r: (r.trial, r.step))
-    a = summarize(fwd, "s", 20.0, s.horizon)
-    b = summarize(rev_sorted, "s", 20.0, s.horizon)
+    a = summarize(RecordBlock.from_rows(fwd), "s", 20.0, s.horizon)
+    b = summarize(RecordBlock.from_rows(rev_sorted), "s", 20.0, s.horizon)
     assert a.nmse_x == pytest.approx(b.nmse_x, abs=1e-12)
     assert a.nmse_v == pytest.approx(b.nmse_v, abs=1e-12)
 
@@ -324,10 +326,10 @@ def test_power_sweep_produces_one_result_per_power():
 
 
 def test_summarize_excludes_near_zero_denominators():
-    rows = [
+    rows = RecordBlock.from_rows([
         TrialRecord(0, 1, 0.01, 0.1, 8.5, 19.0, 5.0, 8.5, 19.0, None, None, None, None),
         TrialRecord(0, 2, 0.02, 10.0, 8.5, 19.0, 11.0, 8.5, 19.0, None, None, None, None),
-    ]
+    ])
     s = summarize(rows, "t", 0.0, 2)
     assert s.excluded_x == 1
     assert s.nmse_x == pytest.approx(((10.0 - 11.0) / 10.0) ** 2)
@@ -345,32 +347,166 @@ def test_csv_schema():
 _cells = st.one_of(st.floats(), st.floats().map(np.float64))
 
 
+def _row(beam, **fields) -> TrialRecord:
+    """A TrialRecord whose beam cells are all set (beam = (index, gain, rate))
+    or all None (beam = None)."""
+    index, gain, rate = beam or (None, None, None)
+    return TrialRecord(beam_index=index, gain_norm=gain, rate_bps_hz=rate, **fields)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.builds(
-    TrialRecord,
-    trial=st.integers(0, 10**6),
-    step=st.integers(1, 10**6),
+    _row,
+    trial=st.integers(0, 2**63 - 1),
+    step=st.integers(1, 2**63 - 1),
     time_s=_cells, x_true=_cells, y_true=_cells, v_true=_cells,
     x_hat=_cells, y_hat=_cells, v_hat=_cells,
     alpha_hat=st.none() | _cells,
-    beam_index=st.none() | st.integers(1, 4096),
-    gain_norm=st.none() | _cells,
-    rate_bps_hz=st.none() | _cells,
+    beam=st.none() | st.tuples(st.integers(-2**63, 2**63 - 1), _cells, _cells),
 ), max_size=5))
 def test_results_csv_roundtrip_is_byte_identical(records):
-    text = records_to_csv(records)
+    block = RecordBlock.from_rows(records)
+    text = records_to_csv(block)
+    assert records_to_csv(RecordBlock.from_rows(block)) == text  # through the row view
     assert records_to_csv(records_from_csv(text)) == text
 
 
 def test_results_csv_reader_allows_empty_cells_only_in_optional_columns():
     row = TrialRecord(0, 1, 0.01, 1.0, 8.5, 19.0, 1.1, 8.4, 19.2, None, None, None, None)
-    text = records_to_csv([row])
-    assert records_from_csv(text) == [row]
+    text = records_to_csv(RecordBlock.from_rows([row]))
+    assert list(records_from_csv(text)) == [row]
     header, line = text.splitlines()
     cells = line.split(",")
     cells[harness.CSV_COLUMNS.index("x_hat")] = ""
     with pytest.raises(ValueError, match="x_hat"):
         records_from_csv(header + "\n" + ",".join(cells) + "\n")
+
+
+_BEAM_ROW = TrialRecord(0, 2, 0.02, 1.0, 8.5, 19.0, 1.1, 8.4, 19.2, None, 3, 0.9, 7.5)
+
+
+@pytest.mark.parametrize("column,cell,message", [
+    ("rate_bps_hz", "", "beam_index, gain_norm and rate_bps_hz must be all set or all empty"),
+    ("beam_index", "", "beam_index, gain_norm and rate_bps_hz must be all set or all empty"),
+    ("trial", str(2**63), f"bad trial cell '{2**63}'"),
+    ("beam_index", str(-2**63 - 1), f"bad beam_index cell '{-2**63 - 1}'"),
+])
+def test_results_csv_reader_rejects_a_bad_row_by_line(column, cell, message):
+    # the bad row is the third data row, after a blank line: line 5
+    good = TrialRecord(0, 1, 0.01, 1.0, 8.5, 19.0, 1.1, 8.4, 19.2, None, 3, 0.8, 7.0)
+    header, *lines = records_to_csv(RecordBlock.from_rows([good, good, _BEAM_ROW])).splitlines()
+    cells = lines[2].split(",")
+    cells[CSV_COLUMNS.index(column)] = cell
+    text = "\n".join([header, lines[0], "", lines[1], ",".join(cells)]) + "\n"
+    with pytest.raises(ValueError, match=re.escape(f"line 5: {message}")):
+        records_from_csv(text)
+
+
+def test_from_rows_rejects_a_partial_beam_row():
+    with pytest.raises(ValueError, match="all set or all None"):
+        RecordBlock.from_rows([dataclasses.replace(_BEAM_ROW, rate_bps_hz=None)])
+
+
+def test_record_block_row_view(monkeypatch):
+    s = small_scenario(trials=2, horizon=7, omega=7, beam_scheme="dft2")
+    block = run_experiment(s, workers=1)[0].records
+    rows = list(block)
+    assert len(block) == len(rows) == 14
+    assert [block[i] for i in range(-14, 14)] == rows + rows
+    assert list(block[3:9]) == rows[3:9]
+    assert list(RecordBlock.from_rows(rows)) == rows
+    with pytest.raises(IndexError):
+        block[14]
+    text = records_to_csv(block)
+    # chunk boundaries change neither the rows nor the bytes
+    monkeypatch.setattr(harness, "ROWS_PER_CHUNK", 3)
+    assert list(block) == rows
+    assert records_to_csv(block) == text
+    assert list(records_from_csv(text)) == rows
+
+
+def _summarize_per_record(records, scenario_label, tx_power_dbm, horizon):
+    """The per-record summarize loop that array summarize replaced, kept as its
+    bit-for-bit oracle."""
+    sq_x = [0.0] * horizon
+    n_x = [0] * horizon
+    sq_v = [0.0] * horizon
+    n_v = [0] * horizon
+    excl_x = excl_v = 0
+    gains, rates = [], []
+    for r in records:
+        i = r.step - 1
+        if abs(r.x_true) >= NMSE_DENOM_FLOOR:
+            sq_x[i] += ((r.x_true - r.x_hat) / r.x_true) ** 2
+            n_x[i] += 1
+        else:
+            excl_x += 1
+        if abs(r.v_true) >= NMSE_DENOM_FLOOR:
+            sq_v[i] += ((r.v_true - r.v_hat) / r.v_true) ** 2
+            n_v[i] += 1
+        else:
+            excl_v += 1
+        if r.gain_norm is not None:
+            gains.append(r.gain_norm)
+            rates.append(r.rate_bps_hz)
+    series_x = tuple(s / c if c else math.nan for s, c in zip(sq_x, n_x))
+    series_v = tuple(s / c if c else math.nan for s, c in zip(sq_v, n_v))
+    return harness.MetricSummary(
+        scenario=scenario_label,
+        tx_power_dbm=tx_power_dbm,
+        nmse_x=sum(sq_x) / max(sum(n_x), 1),
+        nmse_v=sum(sq_v) / max(sum(n_v), 1),
+        mean_gain=float(np.mean(gains)) if gains else math.nan,
+        mean_rate=float(np.mean(rates)) if rates else math.nan,
+        excluded_x=excl_x,
+        excluded_v=excl_v,
+        nmse_x_series=series_x,
+        nmse_v_series=series_v,
+    )
+
+
+def _same(a, b) -> bool:
+    """a == b, with NaN equal to NaN, element by element for tuples."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return type(a) is type(b) and a == b
+
+
+_HORIZON = 6
+_true = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.floats(-NMSE_DENOM_FLOOR, NMSE_DENOM_FLOOR),  # excluded
+    st.sampled_from([NMSE_DENOM_FLOOR, -NMSE_DENOM_FLOOR,
+                     math.nextafter(NMSE_DENOM_FLOOR, 0.0), 0.0, -0.0, math.nan]),
+)
+_estimate = st.floats(-1e4, 1e4) | st.just(math.nan)
+_metric = st.floats(0.0, 1e3) | st.just(math.nan)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.builds(
+    _row,
+    trial=st.integers(0, 4),  # any trial order, repeated steps allowed
+    step=st.integers(1, _HORIZON),
+    time_s=st.just(0.0), y_true=st.just(8.5), y_hat=st.just(8.5),
+    x_true=_true, v_true=_true, x_hat=_estimate, v_hat=_estimate,
+    alpha_hat=st.none(),
+    beam=st.none() | st.tuples(st.integers(1, 64), _metric, _metric),
+), max_size=60))
+def test_summarize_matches_the_per_record_loop_bit_for_bit(rows):
+    got = summarize(RecordBlock.from_rows(rows), "p", 3.0, _HORIZON)
+    want = _summarize_per_record(rows, "p", 3.0, _HORIZON)
+    for name in (f.name for f in dataclasses.fields(harness.MetricSummary)):
+        assert _same(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("step", [0, 3])
+def test_summarize_rejects_a_step_outside_the_horizon(step):
+    rows = RecordBlock.from_rows([dataclasses.replace(_BEAM_ROW, step=step)])
+    with pytest.raises(ValueError, match=r"1\.\.2"):
+        summarize(rows, "t", 0.0, 2)
 
 
 def test_summary_csv_schema():

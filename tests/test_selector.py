@@ -99,6 +99,14 @@ def test_ideal_bp_delta_spike():
     assert mass == pytest.approx(2 * math.pi / m, rel=1e-12)
 
 
+@pytest.mark.parametrize("psi,cell", [(-4.0, 0), (-math.pi, 0), (math.pi, -1), (4.0, -1)])
+def test_ideal_bp_spike_beyond_the_grid_lands_on_an_end_cell(psi, cell):
+    m, grid_size = 16, 1024
+    bp = ideal_bp([PredictedDirection(psi, 0.0)], m, grid_size)
+    assert np.flatnonzero(bp).tolist() == [range(grid_size)[cell]]
+    assert bp[cell] == pytest.approx(grid_size / m, rel=1e-12)
+
+
 def test_ideal_bp_identical_components_collapse():
     m, grid_size = 16, 2048
     one = ideal_bp([PredictedDirection(0.3, 0.05)], m, grid_size)

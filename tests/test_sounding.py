@@ -146,6 +146,11 @@ def test_dictionary_built_once_and_read_only():
     assert not d.atoms.flags.writeable
     with pytest.raises(ValueError):
         d.atoms[0, 0] = 0.0
+    # the kernel's constants: atoms as C-ordered rows and the (-1)^m signs
+    assert np.array_equal(d.atom_rows, d.atoms.T) and d.atom_rows.flags.c_contiguous
+    assert np.shares_memory(d.atom_rows, d.atoms)  # one copy of the atoms
+    assert np.array_equal(d.sign, np.where(np.arange(24) % 2, -1.0, 1.0))
+    assert not d.atom_rows.flags.writeable and not d.sign.flags.writeable
 
 
 def test_hybrid_analog_columns_equal_gain():
