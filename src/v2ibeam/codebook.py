@@ -7,7 +7,9 @@ beam-regions, while slices near the edge collapse below the minimum width
 pile onto the same direction. Each region's uniform position density is
 transformed into a target gain pattern integrating to 2*pi/M, and a
 hybrid-constrained codeword is fitted to it by alternating projections
-between the target magnitude and the equal-gain feasible set.
+between the target magnitude and the equal-gain feasible set. Two safeguards,
+the zero-phase target and the best single atom, are fitted as one 2-row OMP
+block, and every candidate is scored by the same squared pattern error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_channel import RoadGeometry
-from .sounding import SteeringDictionary, hybrid_approximation, orthogonal_matching_pursuit
+from .sounding import SteeringDictionary, orthogonal_matching_pursuit
 
 DEFAULT_GRID = 4096
 GS_ITERS = 50
@@ -46,7 +48,7 @@ class BeamRegion:
         return self.nu_ub - self.nu_lb
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codeword:
     u: np.ndarray  # complex M-vector, unit norm
     region: BeamRegion
@@ -54,7 +56,7 @@ class Codeword:
     mse: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     num_antennas: int
     num_rf_chains: int
@@ -227,8 +229,6 @@ class _PatternContext:
     Both need L >= M.
     """
 
-    _cache: dict[tuple[int, int], "_PatternContext"] = {}
-
     def __init__(self, num_antennas: int, grid_size: int):
         _check_grid(grid_size, num_antennas)
         self.num_antennas = num_antennas
@@ -236,21 +236,16 @@ class _PatternContext:
         self.delta = 2.0 * math.pi / grid_size
         psi0 = -math.pi + self.delta / 2.0
         self.ramp = np.exp(-1j * psi0 * np.arange(num_antennas))
-        self._atom_bp: dict[int, np.ndarray] = {}
 
+    @functools.cache
     def atom_bp(self, dictionary: SteeringDictionary) -> np.ndarray:
         """Gain pattern of every dictionary atom, one row per atom."""
-        key = dictionary.oversampling
-        if key not in self._atom_bp:
-            self._atom_bp[key] = self.bp(dictionary.atoms.T)
-        return self._atom_bp[key]
+        return self.bp(dictionary.atoms.T)
 
     @classmethod
+    @functools.cache
     def get(cls, num_antennas: int, grid_size: int) -> "_PatternContext":
-        key = (num_antennas, grid_size)
-        if key not in cls._cache:
-            cls._cache[key] = cls(num_antennas, grid_size)
-        return cls._cache[key]
+        return cls(num_antennas, grid_size)
 
     def pattern(self, u: np.ndarray) -> np.ndarray:
         """Pattern on the grid of u, or of each row of a block of vectors."""
@@ -262,9 +257,6 @@ class _PatternContext:
     def backproject(self, p: np.ndarray) -> np.ndarray:
         """Least-squares vector (rows) whose pattern is closest to p (rows)."""
         return self.ramp.conj() * np.fft.ifft(p)[..., : self.num_antennas]
-
-    def mse(self, g_target: np.ndarray, bp: np.ndarray) -> float:
-        return float(np.sum((g_target - bp) ** 2) * self.delta)
 
 
 def fit_codeword(
@@ -281,9 +273,10 @@ def fit_codeword(
 
     Candidates come from alternating projections between the target magnitude
     sqrt(M * g_target) and the equal-gain feasible set, started from random
-    phases, plus two safeguards: the best single dictionary atom and the
-    feasible projection of the zero-phase target. The lowest squared-error
-    candidate wins.
+    phases, plus two safeguards fitted as one 2-row OMP block: the feasible
+    projection of the zero-phase target and of the best single dictionary
+    atom. Every candidate is scored by the same squared pattern error, and
+    the lowest wins; on a tie the earlier candidate does.
     """
     ctx = _PatternContext.get(num_antennas, g_target.shape[0])
     grid_size = g_target.shape[0]
@@ -292,12 +285,19 @@ def fit_codeword(
     best_u: np.ndarray | None = None
     best_mse = math.inf
 
-    def consider(u: np.ndarray):
+    def score(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keep the block's lowest-error row when it beats the best so far;
+        return the block's patterns and their magnitudes."""
         nonlocal best_u, best_mse
-        err = ctx.mse(g_target, ctx.bp(u))
-        if err < best_mse:
-            best_mse = err
-            best_u = u
+        patterns = ctx.pattern(block)  # rows x L
+        mags = np.abs(patterns)
+        err = np.square(mags) / num_antennas - g_target
+        errs = np.sum(err * err, axis=1) * ctx.delta
+        row = int(np.argmin(errs))
+        if errs[row] < best_mse:
+            best_mse = float(errs[row])
+            best_u = block[row].copy()  # contiguous, as a pool process returns it
+        return patterns, mags
 
     # Alternating-projection candidates from random phase starts, iterated as
     # one inits x M block: one OMP call and one FFT pair per iteration.
@@ -305,37 +305,26 @@ def fit_codeword(
     batch = ctx.backproject(amplitude * np.exp(1j * phases.T))
     for _ in range(iters):
         batch, _ = orthogonal_matching_pursuit(batch, dictionary, num_rf_chains)
-        patterns = ctx.pattern(batch)  # inits x L
-        mags = np.abs(patterns)
-        err = np.square(mags) / num_antennas - g_target
-        errs = np.sum(err * err, axis=1) * ctx.delta
-        row = int(np.argmin(errs))
-        if errs[row] < best_mse:
-            best_mse = float(errs[row])
-            best_u = batch[row].copy()  # contiguous, as a pool process returns it
+        patterns, mags = score(batch)
         # keep each pattern's phase, take the target magnitude (phase 0 at nulls)
         null = mags == 0.0
         patterns[null] = 1.0
         mags[null] = 1.0
         batch = ctx.backproject(patterns * (amplitude / mags))
 
-    # Feasible projection of the zero-phase target.
-    consider(hybrid_approximation(ctx.backproject(amplitude.astype(complex)),
-                                  dictionary, num_rf_chains).z)
-
-    # Best single steering atom, expressed as a hybrid vector.
+    # Safeguards: the zero-phase target and the best single steering atom.
     atom_mse = np.sum((ctx.atom_bp(dictionary) - g_target) ** 2, axis=1) * ctx.delta
-    consider(hybrid_approximation(dictionary.atoms[:, int(np.argmin(atom_mse))],
-                                  dictionary, num_rf_chains).z)
+    safeguards = np.stack([ctx.backproject(amplitude.astype(complex)),
+                           dictionary.atom_rows[int(np.argmin(atom_mse))]])
+    score(orthogonal_matching_pursuit(safeguards, dictionary, num_rf_chains)[0])
 
-    assert best_u is not None
     bp = ctx.bp(best_u)
     return Codeword(u=best_u, region=region, bp_samples=bp, mse=best_mse)
 
 
 def _fit_region(region, seed_key, *, geom, y_design, num_antennas, num_rf_chains,
-                grid_size, iters, inits, oversampling):
-    dictionary = SteeringDictionary.build(num_antennas, oversampling)
+                grid_size, iters, inits):
+    dictionary = SteeringDictionary.build(num_antennas)
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -430,7 +419,6 @@ def build_codebook(
     grid_size: int = DEFAULT_GRID,
     iters: int = GS_ITERS,
     inits: int = GS_INITS,
-    oversampling: int = 4,
     workers: int | None = None,
 ) -> Codebook:
     """Design a codebook; a list of codeword counts yields the concatenation
@@ -442,7 +430,6 @@ def build_codebook(
     fit = functools.partial(
         _fit_region, geom=geom, y_design=y_design, num_antennas=num_antennas,
         num_rf_chains=num_rf_chains, grid_size=grid_size, iters=iters, inits=inits,
-        oversampling=oversampling,
     )
     tasks = [
         (region, [seed, res_idx, reg_idx])

@@ -35,7 +35,7 @@ from .motion import (
 INIT_COV_REG = 1e-9  # scaled by ||t0||^2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateBelief:
     """Gaussian belief over the kinematic state."""
 

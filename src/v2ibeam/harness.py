@@ -423,24 +423,33 @@ def summarize(
 
 def resolve_codebook(scenario: Scenario, book: Codebook | None = None,
                      workers: int | None = None) -> Codebook | None:
-    """book, else the scenario's codebook: loaded, or fitted on `workers` processes."""
-    if book is not None or scenario.beam_scheme not in ("codebook", "random"):
+    """book, else the scenario's codebook: loaded, or fitted on `workers`
+    processes. A beam scheme's book must have the scenario's antenna count."""
+    if scenario.beam_scheme not in ("codebook", "random"):
         return book
-    if scenario.codebook_path:
-        return load_codebook(scenario.codebook_path)
-    if scenario.codebook_codewords:
-        return build_codebook(
-            scenario.geometry,
-            scenario.t0.y,
-            scenario.array.num_antennas,
-            scenario.array.num_rf_chains,
-            list(scenario.codebook_codewords),
-            seed=scenario.seed,
-            workers=workers,
+    if book is None:
+        if scenario.codebook_path:
+            book = load_codebook(scenario.codebook_path)
+        elif scenario.codebook_codewords:
+            book = build_codebook(
+                scenario.geometry,
+                scenario.t0.y,
+                scenario.array.num_antennas,
+                scenario.array.num_rf_chains,
+                list(scenario.codebook_codewords),
+                seed=scenario.seed,
+                workers=workers,
+            )
+        else:
+            raise ValueError(
+                f"beam scheme {scenario.beam_scheme!r} needs a codebook path or build parameters"
+            )
+    if book.num_antennas != scenario.array.num_antennas:
+        raise ValueError(
+            f"codebook has M={book.num_antennas} antennas but scenario "
+            f"{scenario.name!r} has M={scenario.array.num_antennas}"
         )
-    raise ValueError(
-        f"beam scheme {scenario.beam_scheme!r} needs a codebook path or build parameters"
-    )
+    return book
 
 
 def run_experiment(

@@ -42,7 +42,7 @@ class MotionModel:
             raise ValueError("noise standard deviations must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LongTermTransition:
     """Transition algebra from step 0 to step l: t_l = A^l t_0 + b_acc alpha + noise."""
 

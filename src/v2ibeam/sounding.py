@@ -25,7 +25,7 @@ from .array_channel import array_response
 DEGENERATE_NORM = 1e-30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Combiner:
     """Unit-norm combiner vector. A hybrid combiner's z lies in the span of
     its analog columns, each of per-entry modulus 1/sqrt(M)."""
@@ -36,7 +36,7 @@ class Combiner:
     correlation: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sounding:
     """One sounding sample r = z^H h(psi) + n taken with the combiner z.
 
@@ -49,7 +49,7 @@ class Sounding:
     noise_var: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteeringDictionary:
     """Unit-norm steering atoms d_M(psi_g)/sqrt(M) on the uniform grid
     psi_g = -pi + 2 pi g / G, G = oversampling * M, with the per-dictionary

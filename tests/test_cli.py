@@ -409,6 +409,27 @@ def test_simulate_rejects_codebook_grid_below_antennas(runner, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scheme", ["codebook", "random"])
+@pytest.mark.parametrize("source", ["option", "scenario"])
+def test_simulate_rejects_codebook_of_other_antenna_count(runner, tmp_path, scheme, source):
+    book = tmp_path / "book16.json"
+    r = invoke(runner, ["design-codebook", "--antennas", "16", "--rf-chains", "2",
+                        "--codewords", "2", "--seed", "1",
+                        "--out", str(book), "--workers", "1"])
+    assert r.exit_code == 0, r.output
+    beam = {"scheme": scheme}
+    args = ["--codebook", str(book)]
+    if source == "scenario":
+        beam["codebook_path"], args = str(book), []
+    scen = write_scenario(tmp_path, dict(TINY_SCENARIO, beam=beam))
+    r = runner.invoke(main, ["simulate", scen, "--workers", "1", "--trials", "1",
+                             "--out-dir", str(tmp_path / "out")] + args, prog_name="v2ibeam")
+    assert r.exit_code == 2
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert "codebook has M=16 antennas but scenario 'tiny' has M=8" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_svg_output_deterministic(runner, tmp_path):
     scen = write_scenario(tmp_path)
     outs = []

@@ -14,6 +14,8 @@ from v2ibeam.codebook import (
     GS_INITS,
     GS_ITERS,
     BeamRegion,
+    Codebook,
+    Codeword,
     _PatternContext,
     build_codebook,
     divide_regions,
@@ -28,8 +30,12 @@ from v2ibeam.codebook import (
     spatial_to_geo,
     validate,
 )
-from v2ibeam.sounding import SteeringDictionary
+from v2ibeam.ekf import StateBelief
+from v2ibeam.motion import LongTermTransition
+from v2ibeam.sounding import Combiner, Sounding, SteeringDictionary, hybrid_approximation
 
+BENCH_BOOK = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "data",
+                          "gain_m64_q64_n4.json")
 GEOM = RoadGeometry(7.5, 8.5, -75.0, 75.0)
 K = math.sqrt(8.5**2 + 7.5**2)
 
@@ -305,6 +311,36 @@ def test_fit_beats_best_single_steering_column():
         assert word.mse <= best_dft + 1e-12
 
 
+@pytest.mark.parametrize("m,n,q,index,winner", [
+    (16, 4, 16, 9, 0), (16, 4, 16, 0, 1),
+    (16, 1, 16, 5, 0), (16, 1, 16, 8, 1),
+    (32, 2, 8, 2, 0), (32, 2, 8, 7, 1),
+])
+def test_fit_without_iterations_returns_the_better_safeguard(m, n, q, index, winner):
+    """With no alternating projections the fit is the hybrid approximation of
+    the zero-phase target or of the best single atom, whichever has the
+    lower pattern error; both are computed here from the steering matrix."""
+    steering = _steering(m, 4096)
+    delta = 2 * math.pi / 4096
+    d = SteeringDictionary.build(m)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", category=RuntimeWarning)
+        g = position_pdf_to_bp(divide_regions(GEOM, 8.5, q)[index], 8.5, 7.5, m)
+
+    def bp(u):
+        return np.abs(steering.conj().T @ u) ** 2 / m
+
+    atom_bp = bp(d.atoms).T
+    atom = int(np.argmin(np.sum((atom_bp - g) ** 2, axis=1)))
+    zero_phase = steering @ np.sqrt(m * g) / 4096
+    refs = [hybrid_approximation(t, d, n).z for t in (zero_phase, d.atoms[:, atom])]
+    errs = [np.sum((bp(z) - g) ** 2) * delta for z in refs]
+    assert int(np.argmin(errs)) == winner
+    word = fit_codeword(g, m, n, d, np.random.default_rng(0), iters=0)
+    np.testing.assert_allclose(word.u, refs[winner], rtol=0, atol=1e-12)
+    assert word.mse == pytest.approx(np.sum((word.bp_samples - g) ** 2) * delta, rel=1e-12)
+
+
 def test_fit_codeword_invariants():
     m = 16
     d = SteeringDictionary.build(m)
@@ -392,3 +428,39 @@ def test_parallel_build_matches_serial(m, q, seed):
             with open(path, "rb") as fh:
                 saved.append(fh.read())
     assert saved[0] == saved[1]
+
+
+def test_bench_book_is_the_fitted_book():
+    """The committed benchmark book is the gain_m64 book fitted today, up to
+    one unit-modulus factor per codeword."""
+    fixture = load_codebook(BENCH_BOOK)
+    built = build_codebook(GEOM, 8.5, 64, 4, 64, seed=1, workers=2)
+    assert fixture.resolutions == built.resolutions
+    for a, b in zip(fixture.codewords, built.codewords, strict=True):
+        assert a.region == b.region
+        assert abs(abs(np.vdot(a.u, b.u)) - 1.0) <= 1e-12
+        np.testing.assert_allclose(a.bp_samples, b.bp_samples, rtol=0, atol=1e-10)
+
+
+def _word(value):
+    return Codeword(u=np.full(4, value), region=BeamRegion(0.0, 1.0, 0.0, 1.0),
+                    bp_samples=np.full(8, value), mse=0.0)
+
+
+# Dataclasses that hold arrays compare and hash by identity, so they can key
+# functools caches and sit in sets; field-wise == would compare the arrays.
+@pytest.mark.parametrize("make", [
+    lambda i: SteeringDictionary.build(8, i + 1),
+    lambda i: Combiner(z=np.ones(4)),
+    lambda i: Sounding(r=1j, z=np.ones(4), noise_var=0.5),
+    lambda i: StateBelief(mean=np.zeros(3), cov=np.eye(3)),
+    lambda i: _word(1.0),
+    lambda i: Codebook(4, 1, 8.5, 7.5, (1,), (_word(1.0),)),
+    lambda i: LongTermTransition(np.eye(3), np.zeros(3), np.eye(3)),
+], ids=["SteeringDictionary", "Combiner", "Sounding", "StateBelief", "Codeword",
+        "Codebook", "LongTermTransition"])
+def test_array_dataclasses_compare_by_identity(make):
+    a, b = make(0), make(1)
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
