@@ -8,8 +8,9 @@ pile onto the same direction. Each region's uniform position density is
 transformed into a target gain pattern integrating to 2*pi/M, and a
 hybrid-constrained codeword is fitted to it by alternating projections
 between the target magnitude and the equal-gain feasible set. Two safeguards,
-the zero-phase target and the best single atom, are fitted as one 2-row OMP
-block, and every candidate is scored by the same squared pattern error.
+the zero-phase target and the best single atom (found in closed form), are
+fitted as one 2-row OMP block, and every candidate is scored by the same
+squared pattern error.
 """
 
 from __future__ import annotations
@@ -237,26 +238,51 @@ class _PatternContext:
         psi0 = -math.pi + self.delta / 2.0
         self.ramp = np.exp(-1j * psi0 * np.arange(num_antennas))
 
-    @functools.cache
-    def atom_bp(self, dictionary: SteeringDictionary) -> np.ndarray:
-        """Gain pattern of every dictionary atom, one row per atom."""
-        return self.bp(dictionary.atoms.T)
-
     @classmethod
     @functools.cache
     def get(cls, num_antennas: int, grid_size: int) -> "_PatternContext":
         return cls(num_antennas, grid_size)
 
-    def pattern(self, u: np.ndarray) -> np.ndarray:
+    def pattern(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Pattern on the grid of u, or of each row of a block of vectors."""
-        return np.fft.fft(self.ramp * u, n=self.grid_size)
+        return np.fft.fft(self.ramp * u, n=self.grid_size, out=out)
 
     def bp(self, u: np.ndarray) -> np.ndarray:
         return np.abs(self.pattern(u)) ** 2 / self.num_antennas
 
-    def backproject(self, p: np.ndarray) -> np.ndarray:
-        """Least-squares vector (rows) whose pattern is closest to p (rows)."""
-        return self.ramp.conj() * np.fft.ifft(p)[..., : self.num_antennas]
+    def backproject(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Least-squares vector (rows) whose pattern is closest to p (rows);
+        out, when given, receives the full-length inverse DFT."""
+        return self.ramp.conj() * np.fft.ifft(p, out=out)[..., : self.num_antennas]
+
+    def atom_mse(self, g: np.ndarray, dictionary: SteeringDictionary) -> np.ndarray:
+        """Squared pattern error delta * sum_l (bp_k[l] - g_l)^2 of every
+        dictionary atom k, in closed form from two FFTs, without the atoms'
+        patterns.
+
+        With atoms on phi_k = -pi + 2 pi k / G, an atom's pattern is the Fejer
+        kernel bp_k[l] = M^-2 sum_|d|<M (M - |d|) e^{j d (phi_k - psi_l)}. So
+        with tau_d = e^{-j d psi_0} fft(g)[d], the cross term is
+            X_k = sum_l bp_k[l] g_l
+                = M^-2 [M tau_0 + 2 Re sum_{d=1}^{M-1} (M-d) (-1)^d tau_d e^{j 2 pi d k/G}],
+        one length-G FFT. The grid sum of e^{-j n psi_l} vanishes unless L
+        divides n, so the energy is
+            sum_l bp_k[l]^2 = (L / M^4) [A_0 + 2 A_L cos(L (phi_k - psi_0))],
+        with A_0 = M (2 M^2 + 1) / 3 and A_L = n (n + 1) (n + 2) / 6 for
+        n = 2M - 1 - L > 0, else 0; it varies with k only when L <= 2M - 2.
+        """
+        m, grid_size = self.num_antennas, self.grid_size
+        size = dictionary.atom_rows.shape[0]
+        tau = self.ramp * np.fft.fft(g)[:m]
+        coeff = (m - np.arange(m)) * dictionary.sign * tau
+        coeff[1:] *= 2.0
+        cross = np.fft.fft(coeff.conj(), n=size).real / (m * m)
+        n = 2 * m - 1 - grid_size
+        a_l = n * (n + 1) * (n + 2) // 6 if n > 0 else 0
+        turns = (np.arange(size) * grid_size % size) / size  # L (phi_k - psi_0) / 2 pi + 1/2
+        energy = m * (2 * m * m + 1) // 3 - 2 * a_l * np.cos(2.0 * math.pi * turns)
+        energy *= grid_size / m**4
+        return (energy - 2.0 * cross + g @ g) * self.delta
 
 
 def fit_codeword(
@@ -275,8 +301,15 @@ def fit_codeword(
     sqrt(M * g_target) and the equal-gain feasible set, started from random
     phases, plus two safeguards fitted as one 2-row OMP block: the feasible
     projection of the zero-phase target and of the best single dictionary
-    atom. Every candidate is scored by the same squared pattern error, and
-    the lowest wins; on a tie the earlier candidate does.
+    atom, found in closed form (_PatternContext.atom_mse). Every candidate is
+    scored by the same squared pattern error, and the lowest wins; on a tie
+    the earlier candidate does.
+
+    The projection loop runs on inits x L buffers allocated once. They are in
+    Fortran order, the layout the starts have as rows of phases.T, and the
+    safeguard block is scored on fresh C-ordered arrays, because the last bits
+    of orthogonal_matching_pursuit's fits and of the error row sums depend on
+    the layout, and so do the codebook bytes.
     """
     ctx = _PatternContext.get(num_antennas, g_target.shape[0])
     grid_size = g_target.shape[0]
@@ -285,38 +318,52 @@ def fit_codeword(
     best_u: np.ndarray | None = None
     best_mse = math.inf
 
-    def score(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Keep the block's lowest-error row when it beats the best so far;
-        return the block's patterns and their magnitudes."""
+    def buffers(rows: int, order: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Patterns, their magnitudes and a real work block, rows x L each."""
+        return (np.empty((rows, grid_size), complex, order=order),
+                np.empty((rows, grid_size), order=order),
+                np.empty((rows, grid_size), order=order))
+
+    def score(block: np.ndarray, patterns: np.ndarray, mags: np.ndarray,
+              err: np.ndarray) -> None:
+        """Write the block's patterns and their magnitudes to the given
+        buffers, and keep the block's lowest-error row when it beats the best
+        so far."""
         nonlocal best_u, best_mse
-        patterns = ctx.pattern(block)  # rows x L
-        mags = np.abs(patterns)
-        err = np.square(mags) / num_antennas - g_target
-        errs = np.sum(err * err, axis=1) * ctx.delta
+        ctx.pattern(block, out=patterns)
+        np.abs(patterns, out=mags)
+        np.square(mags, out=err)
+        err /= num_antennas
+        err -= g_target
+        err *= err
+        errs = np.sum(err, axis=1) * ctx.delta
         row = int(np.argmin(errs))
         if errs[row] < best_mse:
             best_mse = float(errs[row])
             best_u = block[row].copy()  # contiguous, as a pool process returns it
-        return patterns, mags
 
     # Alternating-projection candidates from random phase starts, iterated as
     # one inits x M block: one OMP call and one FFT pair per iteration.
     phases = rng.uniform(0.0, 2.0 * math.pi, size=(grid_size, inits))
     batch = ctx.backproject(amplitude * np.exp(1j * phases.T))
+    patterns, mags, work = buffers(inits, "F")
+    inverse = np.empty_like(patterns)
     for _ in range(iters):
         batch, _ = orthogonal_matching_pursuit(batch, dictionary, num_rf_chains)
-        patterns, mags = score(batch)
+        score(batch, patterns, mags, work)
         # keep each pattern's phase, take the target magnitude (phase 0 at nulls)
         null = mags == 0.0
         patterns[null] = 1.0
         mags[null] = 1.0
-        batch = ctx.backproject(patterns * (amplitude / mags))
+        patterns *= np.divide(amplitude, mags, out=work)
+        batch = ctx.backproject(patterns, out=inverse)
 
     # Safeguards: the zero-phase target and the best single steering atom.
-    atom_mse = np.sum((ctx.atom_bp(dictionary) - g_target) ** 2, axis=1) * ctx.delta
+    best_atom = int(np.argmin(ctx.atom_mse(g_target, dictionary)))
     safeguards = np.stack([ctx.backproject(amplitude.astype(complex)),
-                           dictionary.atom_rows[int(np.argmin(atom_mse))]])
-    score(orthogonal_matching_pursuit(safeguards, dictionary, num_rf_chains)[0])
+                           dictionary.atom_rows[best_atom]])
+    score(orthogonal_matching_pursuit(safeguards, dictionary, num_rf_chains)[0],
+          *buffers(2, "C"))
 
     bp = ctx.bp(best_u)
     return Codeword(u=best_u, region=region, bp_samples=bp, mse=best_mse)

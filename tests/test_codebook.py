@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -339,6 +340,52 @@ def test_fit_without_iterations_returns_the_better_safeguard(m, n, q, index, win
     word = fit_codeword(g, m, n, d, np.random.default_rng(0), iters=0)
     np.testing.assert_allclose(word.u, refs[winner], rtol=0, atol=1e-12)
     assert word.mse == pytest.approx(np.sum((word.bp_samples - g) ** 2) * delta, rel=1e-12)
+
+
+def _region_target(m, grid_size, q, index):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", category=RuntimeWarning)
+        return position_pdf_to_bp(divide_regions(GEOM, 8.5, q)[index % q], 8.5, 7.5, m,
+                                  grid_size)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(m=st.integers(1, 128), extra=st.integers(0, 4096),
+       q=st.sampled_from([2, 4, 8, 16, 64]), index=st.integers(0, 63))
+# grids with M <= L <= 2M - 2, where the atoms' pattern energy varies with the atom
+@example(m=64, extra=0, q=16, index=12)
+@example(m=64, extra=1, q=64, index=63)
+@example(m=64, extra=61, q=8, index=5)
+@example(m=128, extra=0, q=64, index=40)
+@example(m=128, extra=125, q=16, index=15)
+@example(m=5, extra=2, q=4, index=3)
+def test_atom_scores_match_the_steering_matrix(m, extra, q, index):
+    grid_size = min(m + extra, 4096)
+    d = SteeringDictionary.build(m)
+    g = _region_target(m, grid_size, q, index)
+    atom_bp = np.abs(_steering(m, grid_size).conj().T @ d.atoms).T ** 2 / m
+    want = np.sum((atom_bp - g) ** 2, axis=1) * (2 * math.pi / grid_size)
+    got = _PatternContext.get(m, grid_size).atom_mse(g, d)
+    tol = 1e-12 * np.max(want)
+    assert np.max(np.abs(got - want)) <= tol
+    # the same argmin, up to atoms whose explicit scores tie within the tolerance
+    assert int(np.argmin(got)) in np.flatnonzero(want <= want.min() + 2 * tol)
+
+
+@pytest.mark.parametrize("m", [64, 128])
+def test_fit_codeword_peak_memory(m):
+    """A warmed fit at L = 4096 stays far below one G x L table of atom
+    patterns (8 MB at M = 64)."""
+    d = SteeringDictionary.build(m)
+    g = _region_target(m, 4096, 16, 12)
+    fit_codeword(g, m, 4, d, np.random.default_rng(0), iters=5)
+    tracemalloc.start()
+    try:
+        fit_codeword(g, m, 4, d, np.random.default_rng(0), iters=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_fit_codeword_invariants():
