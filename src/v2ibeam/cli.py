@@ -174,15 +174,14 @@ def simulate(scenario_ref, trials, seed, horizon, tracker, combiner, tx_power,
             chart["NMSE x"] = [(r.tx_power_dbm, r.summary.nmse_x) for r in results]
             chart["NMSE v"] = [(r.tx_power_dbm, r.summary.nmse_v) for r in results]
             doc = svg_line_chart(chart, title=scenario.name,
-                                 x_label="transmit power (dBm)", y_label="NMSE",
-                                 log_y=True)
+                                 x_label="transmit power (dBm)", y_label="NMSE")
         else:
             series = results[0].summary.nmse_x_series
             chart["NMSE x(t)"] = [
                 (i * scenario.motion.ts, v) for i, v in enumerate(series, start=1)
             ]
             doc = svg_line_chart(chart, title=scenario.name,
-                                 x_label="time (s)", y_label="NMSE", log_y=True)
+                                 x_label="time (s)", y_label="NMSE")
         gpath = os.path.join(out_dir, f"{scenario.name}_summary.svg")
         with open(gpath, "w", encoding="utf-8") as fh:
             fh.write(doc)
@@ -246,7 +245,7 @@ def report(results_csv, label, out, svg_path):
         raise ValueError(f"{results_csv} has no data rows")
     horizon = int(records.columns["step"].max())
     label = label or os.path.splitext(os.path.basename(results_csv))[0]
-    summary = summarize(records, label, math.nan, horizon)
+    summary = summarize(records, label, horizon)
     text = summaries_to_csv([summary])
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -260,8 +259,7 @@ def report(results_csv, label, out, svg_path):
             "NMSE x(t)": list(zip(ts, summary.nmse_x_series)),
             "NMSE v(t)": list(zip(ts, summary.nmse_v_series)),
         }
-        doc = svg_line_chart(chart, title=label, x_label="step",
-                             y_label="NMSE", log_y=True)
+        doc = svg_line_chart(chart, title=label, x_label="step", y_label="NMSE")
         with open(svg_path, "w", encoding="utf-8") as fh:
             fh.write(doc)
         click.echo(f"wrote {svg_path}")

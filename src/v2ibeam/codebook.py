@@ -369,17 +369,13 @@ def fit_codeword(
     return Codeword(u=best_u, region=region, bp_samples=bp, mse=best_mse)
 
 
-def _fit_region(region, seed_key, *, geom, y_design, num_antennas, num_rf_chains,
-                grid_size, iters, inits):
+def _fit_region(region, seed_key, *, geom, y_design, num_antennas, num_rf_chains):
     dictionary = SteeringDictionary.build(num_antennas)
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        g = position_pdf_to_bp(region, y_design, geom.rsu_height_m, num_antennas, grid_size)
-    return fit_codeword(
-        g, num_antennas, num_rf_chains, dictionary, rng,
-        region=region, iters=iters, inits=inits,
-    )
+        g = position_pdf_to_bp(region, y_design, geom.rsu_height_m, num_antennas)
+    return fit_codeword(g, num_antennas, num_rf_chains, dictionary, rng, region=region)
 
 
 _BLAS_SET_THREADS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_")
@@ -463,20 +459,17 @@ def build_codebook(
     num_rf_chains: int,
     codewords: int | list[int] | tuple[int, ...],
     seed: int = 0,
-    grid_size: int = DEFAULT_GRID,
-    iters: int = GS_ITERS,
-    inits: int = GS_INITS,
     workers: int | None = None,
 ) -> Codebook:
     """Design a codebook; a list of codeword counts yields the concatenation
     of independent per-resolution designs."""
     if num_antennas < 1:
         raise ValueError(f"num_antennas must be >= 1, got {num_antennas}")
-    _check_grid(grid_size, num_antennas)
+    _check_grid(DEFAULT_GRID, num_antennas)
     resolutions = (codewords,) if isinstance(codewords, int) else tuple(codewords)
     fit = functools.partial(
         _fit_region, geom=geom, y_design=y_design, num_antennas=num_antennas,
-        num_rf_chains=num_rf_chains, grid_size=grid_size, iters=iters, inits=inits,
+        num_rf_chains=num_rf_chains,
     )
     tasks = [
         (region, [seed, res_idx, reg_idx])
@@ -491,13 +484,11 @@ def build_codebook(
         rsu_height=geom.rsu_height_m,
         resolutions=resolutions,
         codewords=tuple(fitted),
-        grid_size=grid_size,
     )
 
 
 def validate(book: Codebook) -> dict:
     """Partition and Parseval checks; returns measured worst-case numbers."""
-    k = math.sqrt(book.y_design**2 + book.rsu_height**2)
     gap = 0.0
     for sl in book.resolution_slices():
         regions = [c.region for c in book.codewords[sl]]
@@ -512,7 +503,6 @@ def validate(book: Codebook) -> dict:
         "parseval_rel_err": max(abs(v - target) / target for v in integrals),
         "bp_peak": peak,
         "unit_norm_err": float(norm_err),
-        "k": k,
     }
 
 

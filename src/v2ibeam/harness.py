@@ -214,7 +214,6 @@ class RecordBlock:
 @dataclass(frozen=True)
 class MetricSummary:
     scenario: str
-    tx_power_dbm: float
     nmse_x: float
     nmse_v: float
     mean_gain: float
@@ -375,9 +374,7 @@ def run_trial(
     return RecordBlock(columns, has_alpha, np.full(n, beam is not None))
 
 
-def summarize(
-    records: RecordBlock, scenario_label: str, tx_power_dbm: float, horizon: int
-) -> MetricSummary:
+def summarize(records: RecordBlock, scenario_label: str, horizon: int) -> MetricSummary:
     """Aggregate NMSE / gain / rate. Steps whose true denominator is within
     NMSE_DENOM_FLOOR of zero are excluded (count reported).
 
@@ -409,7 +406,6 @@ def summarize(
     gains, rates = records.columns["gain_norm"][beam], records.columns["rate_bps_hz"][beam]
     return MetricSummary(
         scenario=scenario_label,
-        tx_power_dbm=tx_power_dbm,
         nmse_x=totals[0],
         nmse_v=totals[1],
         mean_gain=float(np.mean(gains)) if len(gains) else math.nan,
@@ -424,7 +420,8 @@ def summarize(
 def resolve_codebook(scenario: Scenario, book: Codebook | None = None,
                      workers: int | None = None) -> Codebook | None:
     """book, else the scenario's codebook: loaded, or fitted on `workers`
-    processes. A beam scheme's book must have the scenario's antenna count."""
+    processes. A beam scheme's book must have the scenario's antenna count,
+    and its codewords at most the RF chains the scenario's array has."""
     if scenario.beam_scheme not in ("codebook", "random"):
         return book
     if book is None:
@@ -448,6 +445,11 @@ def resolve_codebook(scenario: Scenario, book: Codebook | None = None,
         raise ValueError(
             f"codebook has M={book.num_antennas} antennas but scenario "
             f"{scenario.name!r} has M={scenario.array.num_antennas}"
+        )
+    if book.num_rf_chains > scenario.array.num_rf_chains:
+        raise ValueError(
+            f"codebook needs N={book.num_rf_chains} RF chains but scenario "
+            f"{scenario.name!r} has N={scenario.array.num_rf_chains}"
         )
     return book
 
@@ -481,7 +483,7 @@ def run_experiment(
         records = RecordBlock.concat(per_trial[:scenario.trials])
         del per_trial[:scenario.trials]
         label = f"{scenario.name}@{power:g}dBm"
-        summary = summarize(records, label, power, scenario.horizon)
+        summary = summarize(records, label, scenario.horizon)
         results.append(
             ExperimentResult(tx_power_dbm=power, records=records, summary=summary)
         )

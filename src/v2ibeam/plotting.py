@@ -21,18 +21,15 @@ def svg_line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    log_y: bool = False,
 ) -> str:
-    """Render named (x, y) polylines into an SVG document string."""
+    """Render named (x, y) polylines on a log10 y axis into an SVG document
+    string; points with y <= 0 are left out of the lines."""
     pts_all = [p for pts in series.values() for p in pts if math.isfinite(p[1])]
     if not pts_all:
         pts_all = [(0.0, 0.0), (1.0, 1.0)]
 
-    def ty(v: float) -> float:
-        return math.log10(v) if log_y else v
-
     xs = [p[0] for p in pts_all]
-    ys = [ty(p[1]) for p in pts_all if not log_y or p[1] > 0]
+    ys = [math.log10(p[1]) for p in pts_all if p[1] > 0]
     if not ys:
         ys = [0.0, 1.0]
     x_lo, x_hi = min(xs), max(xs)
@@ -68,14 +65,13 @@ def svg_line_chart(
         )
     for tick in _ticks(y_lo, y_hi):
         y = py(tick)
-        label = 10.0**tick if log_y else tick
         out.append(
             f'<line x1="{_ML}" y1="{y:.2f}" x2="{_W - _MR}" y2="{y:.2f}" '
             f'stroke="#dddddd"/>'
         )
         out.append(
             f'<text x="{_ML - 6}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label:.3g}</text>'
+            f'font-family="sans-serif" font-size="11">{10.0**tick:.3g}</text>'
         )
     out.append(
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" '
@@ -84,9 +80,9 @@ def svg_line_chart(
     for i, (name, pts) in enumerate(series.items()):
         color = _COLORS[i % len(_COLORS)]
         coords = " ".join(
-            f"{px(x):.2f},{py(ty(y)):.2f}"
+            f"{px(x):.2f},{py(math.log10(y)):.2f}"
             for x, y in pts
-            if math.isfinite(y) and (not log_y or y > 0)
+            if math.isfinite(y) and y > 0
         )
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '

@@ -14,9 +14,9 @@ matching pursuit.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import ClassVar
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +27,10 @@ DEGENERATE_NORM = 1e-30
 
 @dataclass(frozen=True, eq=False)
 class Combiner:
-    """Unit-norm combiner vector. A hybrid combiner's z lies in the span of
-    its analog columns, each of per-entry modulus 1/sqrt(M)."""
+    """Unit-norm combiner vector; correlation is set on a hybrid combiner."""
 
     z: np.ndarray
     fallback: bool = False
-    analog: np.ndarray | None = None
     correlation: float | None = None
 
 
@@ -52,37 +50,34 @@ class Sounding:
 @dataclass(frozen=True, eq=False)
 class SteeringDictionary:
     """Unit-norm steering atoms d_M(psi_g)/sqrt(M) on the uniform grid
-    psi_g = -pi + 2 pi g / G, G = oversampling * M, with the per-dictionary
-    constants of orthogonal_matching_pursuit."""
+    psi_g = -pi + 2 pi g / G, G = oversampling * M, stored as read-only
+    C-ordered rows, with the sign vector of orthogonal_matching_pursuit."""
 
-    atoms: np.ndarray  # M x G
-    oversampling: int = 4
-    atom_rows: np.ndarray = field(init=False, repr=False)  # G x M, atoms.T in C order
-    sign: np.ndarray = field(init=False, repr=False)  # (-1)^m, m = 0..M-1
+    atom_rows: np.ndarray  # G x M
+    sign: np.ndarray  # (-1)^m, m = 0..M-1
 
-    def __post_init__(self):
-        atom_rows = np.ascontiguousarray(self.atoms.T)  # no copy for build()'s atoms
-        sign = (-1.0) ** np.arange(self.atoms.shape[0])
-        for name, value in (("atom_rows", atom_rows), ("sign", sign)):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
-
-    _cache: ClassVar[dict[tuple[int, int], "SteeringDictionary"]] = {}
+    @property
+    def atoms(self) -> np.ndarray:
+        """The atoms as M x G columns, a view of atom_rows."""
+        return self.atom_rows.T
 
     @staticmethod
     def build(num_antennas: int, oversampling: int = 4) -> "SteeringDictionary":
         """The dictionary for (M, oversampling), built once per process and
-        shared, so its atoms are read-only. The atoms are stored as C-ordered
-        rows, so atoms is a transposed view of atom_rows."""
-        key = (num_antennas, oversampling)
-        if key not in SteeringDictionary._cache:
-            size = oversampling * num_antennas
-            grid = -math.pi + 2.0 * math.pi * np.arange(size) / size
-            m = np.arange(num_antennas)[None, :]
-            rows = np.exp(1j * m * grid[:, None]) / math.sqrt(num_antennas)
-            rows.setflags(write=False)
-            SteeringDictionary._cache[key] = SteeringDictionary(rows.T, oversampling)
-        return SteeringDictionary._cache[key]
+        shared, so its arrays are read-only."""
+        return _steering_dictionary(num_antennas, oversampling)
+
+
+@functools.cache
+def _steering_dictionary(num_antennas: int, oversampling: int) -> SteeringDictionary:
+    size = oversampling * num_antennas
+    grid = -math.pi + 2.0 * math.pi * np.arange(size) / size
+    m = np.arange(num_antennas)
+    rows = np.exp(1j * m[None, :] * grid[:, None]) / math.sqrt(num_antennas)
+    sign = (-1.0) ** m
+    for value in (rows, sign):
+        value.setflags(write=False)
+    return SteeringDictionary(rows, sign)
 
 
 def optimal_combiner(
@@ -101,14 +96,12 @@ def optimal_combiner(
     (tr(D Q^2 D^H) = ||h_dot||^2 ||Q grad||^2 numerically zero) falls back to
     the array-manifold combiner at fallback_psi when given.
     """
-    m = h_dot.shape[0]
     qg = np.asarray(q_pred, float) @ grad
     norm = math.sqrt(np.vdot(h_dot, h_dot).real)
     if not norm**2 * float(qg @ qg) > DEGENERATE_NORM:
         if fallback_psi is None:
             raise ValueError("degenerate combiner objective and no fallback direction")
-        z = array_response(m, fallback_psi) / math.sqrt(m)
-        return Combiner(z=z, fallback=True)
+        return Combiner(z=dft_manifold_combiner(fallback_psi, h_dot.shape[0]).z, fallback=True)
     return Combiner(z=h_dot / norm)
 
 
@@ -171,11 +164,11 @@ def hybrid_approximation(
     target: np.ndarray, dictionary: SteeringDictionary, num_rf_chains: int
 ) -> Combiner:
     """Hybrid combiner closest to one target: the B=1 call of
-    orthogonal_matching_pursuit, with the chosen atoms as analog columns."""
-    z, chosen = orthogonal_matching_pursuit(target[None, :], dictionary, num_rf_chains)
-    z = z[0]
+    orthogonal_matching_pursuit. Its z lies in the span of the N chosen atoms,
+    the analog columns, each of per-entry modulus 1/sqrt(M)."""
+    z = orthogonal_matching_pursuit(target[None, :], dictionary, num_rf_chains)[0][0]
     corr_val = float(abs(np.vdot(target, z)) / max(np.linalg.norm(target), 1e-300))
-    return Combiner(z=z, analog=dictionary.atoms[:, chosen[0]], correlation=corr_val)
+    return Combiner(z=z, correlation=corr_val)
 
 
 def dft_manifold_combiner(psi_pred: float, num_antennas: int) -> Combiner:

@@ -1,5 +1,6 @@
 import json
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from click.testing import CliRunner
@@ -430,6 +431,26 @@ def test_simulate_rejects_codebook_of_other_antenna_count(runner, tmp_path, sche
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source", ["option", "scenario"])
+def test_simulate_rejects_codebook_of_more_rf_chains(runner, tmp_path, source):
+    book = tmp_path / "book_n4.json"
+    r = invoke(runner, ["design-codebook", "--antennas", "8", "--rf-chains", "4",
+                        "--codewords", "2", "--seed", "1",
+                        "--out", str(book), "--workers", "1"])
+    assert r.exit_code == 0, r.output
+    beam = {"scheme": "codebook"}
+    args = ["--codebook", str(book)]
+    if source == "scenario":
+        beam["codebook_path"], args = str(book), []
+    scen = write_scenario(tmp_path, dict(TINY_SCENARIO, beam=beam))
+    r = runner.invoke(main, ["simulate", scen, "--workers", "1", "--trials", "1",
+                             "--out-dir", str(tmp_path / "out")] + args, prog_name="v2ibeam")
+    assert r.exit_code == 2
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert "codebook needs N=4 RF chains but scenario 'tiny' has N=2" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_svg_output_deterministic(runner, tmp_path):
     scen = write_scenario(tmp_path)
     outs = []
@@ -440,3 +461,18 @@ def test_svg_output_deterministic(runner, tmp_path):
         assert r.exit_code == 0
         outs.append((out / "tiny_summary.svg").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_svg_of_zero_nmse_has_empty_lines(runner, tmp_path):
+    """A noise-free run from the exact state has NMSE 0 at every step; the
+    log-axis chart leaves those points out and still writes a valid SVG."""
+    doc = dict(TINY_SCENARIO, sigma_eps=0.0, noise_free=True, beam={"scheme": "none"},
+               motion=dict(TINY_SCENARIO["motion"], sigma_alpha=0.0, sigma_omega=0.0))
+    out = tmp_path / "out"
+    r = invoke(runner, ["simulate", write_scenario(tmp_path, doc), "--workers", "1",
+                        "--out-dir", str(out), "--format", "svg"])
+    assert r.exit_code == 0, r.output
+    assert "nmse_x=0 nmse_v=0" in r.output
+    root = ElementTree.parse(out / "tiny_summary.svg").getroot()
+    lines = root.findall("{http://www.w3.org/2000/svg}polyline")
+    assert len(lines) == 1 and lines[0].get("points") == ""

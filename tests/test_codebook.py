@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from v2ibeam.array_channel import RoadGeometry
 from v2ibeam.codebook import (
-    GS_INITS,
-    GS_ITERS,
+    DEFAULT_GRID,
     BeamRegion,
     Codebook,
     Codeword,
@@ -251,8 +250,8 @@ def test_pattern_transforms_match_the_steering_matrix(m, extra, seed):
 
 def test_pattern_grid_must_cover_the_antennas():
     with pytest.raises(ValueError, match=r"grid_size.*num_antennas"):
-        build_codebook(GEOM, 8.5, 16, 4, 2, grid_size=15, workers=1)
-    book = build_codebook(GEOM, 8.5, 8, 2, 2, seed=0, iters=1, inits=1, workers=1)
+        build_codebook(GEOM, 8.5, DEFAULT_GRID + 1, 4, 2, workers=1)
+    book = build_codebook(GEOM, 8.5, 8, 2, 2, seed=0, workers=1)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "book.json")
         save_codebook(book, path)
@@ -273,7 +272,7 @@ def test_pattern_grid_must_cover_the_antennas():
     (lambda doc: doc["codewords"][1].pop(), r"'codewords'\[1\] has 7 entries, 'M' is 8"),
 ], ids=["regions", "codewords", "resolutions", "Q", "codeword_length"])
 def test_load_codebook_rejects_inconsistent_counts(tmp_path, corrupt, field):
-    book = build_codebook(GEOM, 8.5, 8, 2, 4, seed=0, iters=1, inits=1, workers=1)
+    book = build_codebook(GEOM, 8.5, 8, 2, 4, seed=0, workers=1)
     path = tmp_path / "book.json"
     save_codebook(book, str(path))
     doc = json.loads(path.read_text())
@@ -430,13 +429,10 @@ def test_build_codebook_multiresolution():
     m=st.integers(4, 24),
     q=st.sampled_from([2, 4]),
     seed=st.integers(0, 2**16),
-    iters=st.integers(1, 3),
-    inits=st.integers(1, 2),
 )
-@example(m=16, q=8, seed=3, iters=GS_ITERS, inits=GS_INITS)
-def test_codebook_json_roundtrip_bitstable(m, q, seed, iters, inits):
-    book = build_codebook(GEOM, 8.5, m, min(4, m), q, seed=seed, iters=iters, inits=inits,
-                          workers=1)
+@example(m=16, q=8, seed=3)
+def test_codebook_json_roundtrip_bitstable(m, q, seed):
+    book = build_codebook(GEOM, 8.5, m, min(4, m), q, seed=seed, workers=1)
     with tempfile.TemporaryDirectory() as tmp:
         path, path2 = os.path.join(tmp, "book.json"), os.path.join(tmp, "book2.json")
         save_codebook(book, path)

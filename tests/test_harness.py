@@ -229,7 +229,7 @@ def test_zero_noise_perfect_init_tracks_exactly():
     for r in records:
         assert r.x_hat == pytest.approx(r.x_true, abs=1e-9)
         assert r.v_hat == pytest.approx(r.v_true, abs=1e-9)
-    summary = summarize(records, "t", 20.0, s.horizon)
+    summary = summarize(records, "t", s.horizon)
     assert summary.nmse_x == 0.0
 
 
@@ -311,8 +311,8 @@ def test_trial_reordering_leaves_aggregates():
     # execute "out of order", aggregate in trial order
     rev = [r for t in reversed(per_trial) for r in t]
     rev_sorted = sorted(rev, key=lambda r: (r.trial, r.step))
-    a = summarize(RecordBlock.from_rows(fwd), "s", 20.0, s.horizon)
-    b = summarize(RecordBlock.from_rows(rev_sorted), "s", 20.0, s.horizon)
+    a = summarize(RecordBlock.from_rows(fwd), "s", s.horizon)
+    b = summarize(RecordBlock.from_rows(rev_sorted), "s", s.horizon)
     assert a.nmse_x == pytest.approx(b.nmse_x, abs=1e-12)
     assert a.nmse_v == pytest.approx(b.nmse_v, abs=1e-12)
 
@@ -330,7 +330,7 @@ def test_summarize_excludes_near_zero_denominators():
         TrialRecord(0, 1, 0.01, 0.1, 8.5, 19.0, 5.0, 8.5, 19.0, None, None, None, None),
         TrialRecord(0, 2, 0.02, 10.0, 8.5, 19.0, 11.0, 8.5, 19.0, None, None, None, None),
     ])
-    s = summarize(rows, "t", 0.0, 2)
+    s = summarize(rows, "t", 2)
     assert s.excluded_x == 1
     assert s.nmse_x == pytest.approx(((10.0 - 11.0) / 10.0) ** 2)
 
@@ -425,7 +425,7 @@ def test_record_block_row_view(monkeypatch):
     assert list(records_from_csv(text)) == rows
 
 
-def _summarize_per_record(records, scenario_label, tx_power_dbm, horizon):
+def _summarize_per_record(records, scenario_label, horizon):
     """The per-record summarize loop that array summarize replaced, kept as its
     bit-for-bit oracle."""
     sq_x = [0.0] * horizon
@@ -453,7 +453,6 @@ def _summarize_per_record(records, scenario_label, tx_power_dbm, horizon):
     series_v = tuple(s / c if c else math.nan for s, c in zip(sq_v, n_v))
     return harness.MetricSummary(
         scenario=scenario_label,
-        tx_power_dbm=tx_power_dbm,
         nmse_x=sum(sq_x) / max(sum(n_x), 1),
         nmse_v=sum(sq_v) / max(sum(n_v), 1),
         mean_gain=float(np.mean(gains)) if gains else math.nan,
@@ -496,8 +495,8 @@ _metric = st.floats(0.0, 1e3) | st.just(math.nan)
     beam=st.none() | st.tuples(st.integers(1, 64), _metric, _metric),
 ), max_size=60))
 def test_summarize_matches_the_per_record_loop_bit_for_bit(rows):
-    got = summarize(RecordBlock.from_rows(rows), "p", 3.0, _HORIZON)
-    want = _summarize_per_record(rows, "p", 3.0, _HORIZON)
+    got = summarize(RecordBlock.from_rows(rows), "p", _HORIZON)
+    want = _summarize_per_record(rows, "p", _HORIZON)
     for name in (f.name for f in dataclasses.fields(harness.MetricSummary)):
         assert _same(getattr(got, name), getattr(want, name)), name
 
@@ -506,7 +505,7 @@ def test_summarize_matches_the_per_record_loop_bit_for_bit(rows):
 def test_summarize_rejects_a_step_outside_the_horizon(step):
     rows = RecordBlock.from_rows([dataclasses.replace(_BEAM_ROW, step=step)])
     with pytest.raises(ValueError, match=r"1\.\.2"):
-        summarize(rows, "t", 0.0, 2)
+        summarize(rows, "t", 2)
 
 
 def test_summary_csv_schema():

@@ -142,6 +142,7 @@ def test_dictionary_atoms_equal_gain():
 def test_dictionary_built_once_and_read_only():
     d = SteeringDictionary.build(24)
     assert SteeringDictionary.build(24, oversampling=4) is d
+    assert SteeringDictionary.build(24, 4) is d
     assert SteeringDictionary.build(24, oversampling=2) is not d
     assert not d.atoms.flags.writeable
     with pytest.raises(ValueError):
@@ -158,10 +159,12 @@ def test_hybrid_analog_columns_equal_gain():
     m = 16
     d = SteeringDictionary.build(m)
     target = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    hyb = hybrid_approximation(target / np.linalg.norm(target), d, 4)
-    np.testing.assert_allclose(np.abs(hyb.analog), 1.0 / math.sqrt(m))
-    digital = np.linalg.lstsq(hyb.analog, hyb.z, rcond=None)[0]  # z in span(analog)
-    np.testing.assert_allclose(hyb.analog @ digital, hyb.z, atol=1e-12)
+    target /= np.linalg.norm(target)
+    hyb = hybrid_approximation(target, d, 4)
+    analog = d.atoms[:, orthogonal_matching_pursuit(target[None, :], d, 4)[1][0]]
+    np.testing.assert_allclose(np.abs(analog), 1.0 / math.sqrt(m))
+    digital = np.linalg.lstsq(analog, hyb.z, rcond=None)[0]  # z in span(analog)
+    np.testing.assert_allclose(analog @ digital, hyb.z, atol=1e-12)
     assert np.linalg.norm(hyb.z) == pytest.approx(1.0, abs=1e-9)
 
 
