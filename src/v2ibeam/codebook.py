@@ -7,10 +7,11 @@ beam-regions, while slices near the edge collapse below the minimum width
 pile onto the same direction. Each region's uniform position density is
 transformed into a target gain pattern integrating to 2*pi/M, and a
 hybrid-constrained codeword is fitted to it by alternating projections
-between the target magnitude and the equal-gain feasible set. Two safeguards,
-the zero-phase target and the best single atom (found in closed form), are
-fitted as one 2-row OMP block, and every candidate is scored by the same
-squared pattern error.
+between the target magnitude and the equal-gain feasible set, for up to
+GS_ITERS alternations, stopping once the projections stop moving. Two
+safeguards, the zero-phase target and the best single atom (found in closed
+form), are fitted as one 2-row OMP block, and every candidate is scored by
+the same squared pattern error.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .sounding import SteeringDictionary, orthogonal_matching_pursuit
 DEFAULT_GRID = 4096
 GS_ITERS = 50
 GS_INITS = 8
+_GS_TOL = 1e-9  # the fit stops once no OMP output entry moves this much
 _TILE_EPS = 1e-12
 
 
@@ -305,12 +307,22 @@ def fit_codeword(
     scored by the same squared pattern error, and the lowest wins; on a tie
     the earlier candidate does.
 
+    The projections run for at most iters alternations. They stop early once
+    no entry of the inits x M OMP output block has moved by _GS_TOL or more
+    since the previous alternation; that block is not scored, because its
+    rows are within _GS_TOL of rows already scored. Fits in a limit cycle
+    never settle and run all iters. iters=0 scores the safeguards alone.
+
     The projection loop runs on inits x L buffers allocated once. They are in
     Fortran order, the layout the starts have as rows of phases.T, and the
     safeguard block is scored on fresh C-ordered arrays, because the last bits
     of orthogonal_matching_pursuit's fits and of the error row sums depend on
     the layout, and so do the codebook bytes.
     """
+    if inits < 1:
+        raise ValueError(f"inits must be >= 1, got {inits}")
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     ctx = _PatternContext.get(num_antennas, g_target.shape[0])
     grid_size = g_target.shape[0]
     amplitude = np.sqrt(num_antennas * np.asarray(g_target, float))
@@ -348,8 +360,14 @@ def fit_codeword(
     batch = ctx.backproject(amplitude * np.exp(1j * phases.T))
     patterns, mags, work = buffers(inits, "F")
     inverse = np.empty_like(patterns)
+    previous = None
     for _ in range(iters):
         batch, _ = orthogonal_matching_pursuit(batch, dictionary, num_rf_chains)
+        if previous is not None and np.max(np.abs(batch - previous)) < _GS_TOL:
+            break
+        # orthogonal_matching_pursuit returns a fresh array, so previous keeps
+        # the last block by reference; an in-place OMP would need a copy here.
+        previous = batch
         score(batch, patterns, mags, work)
         # keep each pattern's phase, take the target magnitude (phase 0 at nulls)
         null = mags == 0.0

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from v2ibeam import codebook
 from v2ibeam.array_channel import RoadGeometry
 from v2ibeam.codebook import (
     DEFAULT_GRID,
+    GS_ITERS,
     BeamRegion,
     Codebook,
     Codeword,
@@ -398,6 +400,53 @@ def test_fit_codeword_invariants():
     assert np.linalg.norm(word.u) == pytest.approx(1.0, abs=1e-9)
     assert integrate_bp(word.bp_samples) == pytest.approx(2 * math.pi / m, rel=1e-3)
     assert word.bp_samples.max() <= 1.0 + 1e-6
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"inits": 0}, "inits"), ({"inits": -1}, "inits"), ({"iters": -3}, "iters"),
+])
+def test_fit_rejects_invalid_counts(kwargs, name):
+    m = 16
+    g = _region_target(m, 4096, 16, 3)
+    with pytest.raises(ValueError, match=name):
+        fit_codeword(g, m, 4, SteeringDictionary.build(m), np.random.default_rng(0), **kwargs)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(m=st.sampled_from([16, 32, 64, 96]), q=st.sampled_from([8, 16, 48, 64]),
+       index=st.integers(0, 63), seed=st.integers(0, 2**32 - 1))
+def test_convergence_stop_costs_no_fit_quality(m, q, index, seed):
+    """The fit that stops once the projections settle is as good as the fit
+    that runs all GS_ITERS alternations from the same starts."""
+    d = SteeringDictionary.build(m)
+    g = _region_target(m, 4096, q, index)
+    stopped = fit_codeword(g, m, 4, d, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codebook, "_GS_TOL", 0.0)
+        full = fit_codeword(g, m, 4, d, np.random.default_rng(seed))
+    assert stopped.mse <= full.mse * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("m,q,index,iters,calls", [
+    (16, 16, 0, GS_ITERS, 9),  # settles after 7 alternations
+    (32, 16, 7, GS_ITERS, GS_ITERS + 1),  # a limit cycle: the cap stops it
+    (32, 16, 7, 2 * GS_ITERS, 2 * GS_ITERS + 1),
+])
+def test_fit_stops_when_settled_and_at_the_cap(monkeypatch, m, q, index, iters, calls):
+    """One OMP call per alternation, the settling check included, plus one
+    for the safeguard block."""
+    count = 0
+    omp = codebook.orthogonal_matching_pursuit
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return omp(*args)
+
+    monkeypatch.setattr(codebook, "orthogonal_matching_pursuit", counting)
+    g = _region_target(m, 4096, q, index)
+    fit_codeword(g, m, 4, SteeringDictionary.build(m), np.random.default_rng(0), iters=iters)
+    assert count == calls
 
 
 def _small_book(codewords=8, m=16, seed=3):
