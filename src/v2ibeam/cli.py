@@ -219,9 +219,9 @@ def track_demo(scenario_ref, steps, seed, every, csv_path):
         return
     click.echo(f"{'step':>5} {'t[s]':>7} {'x':>9} {'x_hat':>9} "
                f"{'v':>8} {'v_hat':>8} {'alpha_hat':>9}")
-    step = records.columns["step"]
-    for i in np.flatnonzero((step % every == 0) | (step == len(records))):
-        r = records[i]
+    for r in records:
+        if r.step % every and r.step != len(records):
+            continue
         alpha = "-" if r.alpha_hat is None else f"{r.alpha_hat:9.4f}"
         click.echo(
             f"{r.step:>5} {r.time_s:7.2f} {r.x_true:9.3f} {r.x_hat:9.3f} "

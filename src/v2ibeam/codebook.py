@@ -46,17 +46,16 @@ class BeamRegion:
     rho_lb: float
     rho_ub: float
 
-    @property
-    def width(self) -> float:
-        return self.nu_ub - self.nu_lb
-
 
 @dataclass(frozen=True, eq=False)
 class Codeword:
+    """One codeword: its weights, its beam-region and its gain pattern on the
+    psi grid. It keeps no fit score, so a fitted codeword and its saved and
+    reloaded copy hold the same fields."""
+
     u: np.ndarray  # complex M-vector, unit norm
     region: BeamRegion
     bp_samples: np.ndarray  # normalized gain on the psi grid
-    mse: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,8 +382,7 @@ def fit_codeword(
     score(orthogonal_matching_pursuit(safeguards, dictionary, num_rf_chains)[0],
           *buffers(2, "C"))
 
-    bp = ctx.bp(best_u)
-    return Codeword(u=best_u, region=region, bp_samples=bp, mse=best_mse)
+    return Codeword(u=best_u, region=region, bp_samples=ctx.bp(best_u))
 
 
 def _fit_region(region, seed_key, *, geom, y_design, num_antennas, num_rf_chains):
@@ -558,37 +556,70 @@ def save_codebook(book: Codebook, path: str) -> None:
 
 
 def load_codebook(path: str) -> Codebook:
+    """Read a codebook that save_codebook wrote. A missing field, a field of
+    the wrong type or shape, a number that is not finite, an N outside 1..M
+    and counts that disagree are ValueErrors that name the field."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    m = int(doc["M"])
-    q = int(doc["Q"])
-    resolutions = tuple(int(count) for count in doc["resolutions"])
-    for key, count in [("regions", len(doc["regions"])), ("codewords", len(doc["codewords"])),
+
+    def check(ok, field: str, problem: str) -> None:
+        if not ok:
+            raise ValueError(f"codebook {path}: {field} {problem}")
+
+    def integer(key: str, low: int, high: int | None = None, default=None) -> int:
+        value = doc.get(key, default)
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        check(isinstance(value, int) and not isinstance(value, bool) and low <= value
+              and (high is None or value <= high), repr(key),
+              f"must be an integer {bound}, got {value!r}")
+        return value
+
+    def finite(read, field: str, what: str = "a finite number or decimal string") -> np.ndarray:
+        """The floats read() parses from numbers or decimal strings."""
+        try:
+            values = np.array(read())
+        except (KeyError, TypeError, ValueError, OverflowError):
+            values = None
+        check(values is not None and np.isfinite(values).all(), field,
+              f"must be {what}")
+        return values
+
+    def listed(value, field: str) -> list:
+        if not isinstance(value, list):  # format the value only on failure: a codeword is long
+            raise ValueError(f"codebook {path}: {field} must be a list, got {value!r}")
+        return value
+
+    check(isinstance(doc, dict), "document", "must be an object")
+    m = integer("M", 1)
+    n = integer("N", 1, m)
+    q = integer("Q", 1)
+    grid_size = integer("L", 1, default=DEFAULT_GRID)  # _PatternContext checks L >= M
+    y_design = float(finite(lambda: float(doc["y_design"]), "'y_design'"))
+    rsu_height = float(finite(lambda: float(doc["h"]), "'h'"))
+    resolutions = tuple(listed(doc.get("resolutions"), "'resolutions'"))
+    check(all(isinstance(count, int) and not isinstance(count, bool) and count > 0
+              for count in resolutions), "'resolutions'", "must be positive integers")
+    regions = listed(doc.get("regions"), "'regions'")
+    vecs = listed(doc.get("codewords"), "'codewords'")
+    for key, count in [("regions", len(regions)), ("codewords", len(vecs)),
                        ("resolutions", sum(resolutions))]:
         if count != q:
             raise ValueError(f"codebook {path}: {key!r} counts {count} codewords, 'Q' is {q}")
-    for index, vec in enumerate(doc["codewords"]):
-        if len(vec) != m:
-            raise ValueError(
-                f"codebook {path}: 'codewords'[{index}] has {len(vec)} entries, 'M' is {m}"
-            )
-    grid_size = int(doc.get("L", DEFAULT_GRID))
     ctx = _PatternContext.get(m, grid_size)
     words = []
-    for reg, vec in zip(doc["regions"], doc["codewords"]):
-        region = BeamRegion(
-            nu_lb=float(reg["nu_lb"]),
-            nu_ub=float(reg["nu_ub"]),
-            rho_lb=float(reg["rho_lb"]),
-            rho_ub=float(reg["rho_ub"]),
-        )
-        u = np.array([float(re) + 1j * float(im) for re, im in vec])
-        words.append(Codeword(u=u, region=region, bp_samples=ctx.bp(u), mse=math.nan))
+    for index, (reg, vec) in enumerate(zip(regions, vecs)):
+        check(len(listed(vec, f"'codewords'[{index}]")) == m, f"'codewords'[{index}]",
+              f"has {len(vec)} entries, 'M' is {m}")
+        u = finite(lambda: [float(re) + 1j * float(im) for re, im in vec], f"'codewords'[{index}]",
+                   "a list of [re, im] pairs of finite numbers or decimal strings")
+        bounds = finite(lambda: [float(reg[k]) for k in ("nu_lb", "nu_ub", "rho_lb", "rho_ub")],
+                        f"'regions'[{index}]", "an object of finite nu_lb, nu_ub, rho_lb, rho_ub")
+        words.append(Codeword(u=u, region=BeamRegion(*bounds.tolist()), bp_samples=ctx.bp(u)))
     return Codebook(
         num_antennas=m,
-        num_rf_chains=int(doc["N"]),
-        y_design=float(doc["y_design"]),
-        rsu_height=float(doc["h"]),
+        num_rf_chains=n,
+        y_design=y_design,
+        rsu_height=rsu_height,
         resolutions=resolutions,
         codewords=tuple(words),
         grid_size=grid_size,

@@ -6,12 +6,14 @@ independent RNG substream derived from (seed, trial index), so results are
 reproducible bit-for-bit regardless of worker count or execution order.
 
 Trial results travel as a RecordBlock: one array per TrialRecord field, from
-run_trial through run_experiment to the results CSV and summarize. Rows
-(TrialRecord objects) exist only in the block's row view.
+run_trial through run_experiment to the results CSV and summarize, and from a
+results CSV back to summarize. Rows (TrialRecord objects) exist only while a
+block is iterated.
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import functools
 import io
@@ -96,6 +98,8 @@ class Scenario:
             raise ValueError(f"unknown combiner_mode {self.combiner_mode!r}")
         if not self.tx_powers_dbm:
             raise ValueError("tx_powers_dbm needs at least one transmit power")
+        if not all(map(math.isfinite, self.tx_powers_dbm)):
+            raise ValueError(f"tx_power_dbm {list(self.tx_powers_dbm)} must be finite numbers")
         labels = [f"{power:g}" for power in self.tx_powers_dbm]  # name rows and files
         if len(set(labels)) < len(labels):
             raise ValueError(f"tx_power_dbm {list(self.tx_powers_dbm)} repeats a dBm label "
@@ -145,9 +149,9 @@ class RecordBlock:
     to one array. alpha_hat holds a value only where has_alpha is set, and
     the BEAM_COLUMNS only where has_beam is set; elsewhere the cell is empty.
 
-    TrialRecord is the row view: len(block) counts rows, block[i] is a
-    TrialRecord, block[a:b] is a block, and iteration yields TrialRecords
-    built ROWS_PER_CHUNK rows at a time. from_rows builds a block from rows.
+    TrialRecord is the row view: len(block) counts rows, and iteration
+    yields TrialRecords built ROWS_PER_CHUNK rows at a time. from_rows builds
+    a block from rows.
     """
 
     columns: dict[str, np.ndarray]
@@ -179,13 +183,6 @@ class RecordBlock:
 
     def __len__(self) -> int:
         return len(self.has_beam)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return RecordBlock({name: column[index] for name, column in self.columns.items()},
-                               self.has_alpha[index], self.has_beam[index])
-        i = range(len(self))[index]
-        return TrialRecord(*(cells[0] for cells in self.cells(i, i + 1)))
 
     def __iter__(self):
         for start in range(0, len(self), ROWS_PER_CHUNK):
@@ -501,12 +498,10 @@ def records_to_csv(records: RecordBlock) -> str:
     return buf.getvalue()
 
 
-_INT64 = np.iinfo(np.int64)
-
-
 def records_from_csv(text: str) -> RecordBlock:
-    """Parse a results CSV (see records_to_csv) into a block; columns may
-    come in any order and extra columns are ignored.
+    """Parse a results CSV (see records_to_csv) into a block, cell by cell
+    into typed column buffers; columns may come in any order and extra
+    columns are ignored.
 
     Empty cells are accepted only in the optional columns, and a row's
     BEAM_COLUMNS must be all set or all empty; an integer cell must fit in
@@ -516,33 +511,32 @@ def records_from_csv(text: str) -> RecordBlock:
     missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
     if missing:
         raise ValueError(f"results CSV missing columns: {sorted(missing)}")
-    blocks, rows = [], []
+    columns = {name: array.array("q" if parse is int else "d") for name, parse, _ in _COLUMN_RULES}
+    held = {name: bytearray() for name, _, optional in _COLUMN_RULES if optional}
     for row in reader:
-        values = []
         for name, parse, optional in _COLUMN_RULES:
             cell = row[name]
-            if not cell and optional:
-                values.append(None)
-                continue
+            if optional:
+                held[name].append(bool(cell))
+                if not cell:
+                    columns[name].append(0)
+                    continue
             try:
-                values.append(parse(cell))
-                if parse is int and not _INT64.min <= values[-1] <= _INT64.max:
-                    raise ValueError("outside int64")
-                if name == "step" and values[-1] < 1:
+                value = parse(cell)
+                if name == "step" and value < 1:
                     raise ValueError("steps count from 1")
-            except (TypeError, ValueError):
+                columns[name].append(value)  # OverflowError outside int64
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(
                     f"results CSV line {reader.line_num}: bad {name} cell {cell!r}"
                 ) from None
-        record = TrialRecord(*values)
-        if len({getattr(record, name) is None for name in BEAM_COLUMNS}) > 1:
+        if len({held[name][-1] for name in BEAM_COLUMNS}) > 1:
             raise ValueError(f"results CSV line {reader.line_num}: beam_index, gain_norm "
                              f"and rate_bps_hz must be all set or all empty")
-        rows.append(record)
-        if len(rows) == ROWS_PER_CHUNK:
-            blocks.append(RecordBlock.from_rows(rows))
-            rows = []
-    return RecordBlock.concat([*blocks, RecordBlock.from_rows(rows)])
+    return RecordBlock({name: np.frombuffer(column, _DTYPES[name])
+                        for name, column in columns.items()},
+                       np.frombuffer(held["alpha_hat"], bool),
+                       np.frombuffer(held["beam_index"], bool))
 
 
 def summaries_to_csv(summaries: list[MetricSummary]) -> str:
@@ -564,14 +558,20 @@ def summaries_to_csv(summaries: list[MetricSummary]) -> str:
 
 # ---------------------------------------------------------------------------
 # Scenario (de)serialization. The JSON uses field units (km/h, dBm, GHz, ms);
-# everything becomes SI / linear at load time.
+# everything becomes SI / linear at load time. Every number must be finite,
+# except that the fading K-factor may also be Infinity or -Infinity.
 # ---------------------------------------------------------------------------
 
 _ABSENT = object()
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real number, not a bool, that is finite as a float."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _is_numbers(value) -> bool:
@@ -592,19 +592,22 @@ def _kind(what: str, accepts, convert=lambda value: value):
 
 _integer = _kind("an integer", _is_integer, int)
 _count = _kind("a non-negative integer", lambda value: _is_integer(value) and value >= 0, int)
-_number = _kind("a number", _is_number, float)
-_nonnegative = _kind("a non-negative number",
+_number = _kind("a finite number", _is_number, float)
+_decibels = _kind("a finite number, Infinity or -Infinity",
+                  lambda value: _is_number(value) or value in (math.inf, -math.inf), float)
+_nonnegative = _kind("a finite non-negative number",
                      lambda value: _is_number(value) and value >= 0, float)
-_positive = _kind("a positive number", lambda value: _is_number(value) and value > 0, float)
+_positive = _kind("a finite positive number",
+                  lambda value: _is_number(value) and value > 0, float)
 _boolean = _kind("true or false", lambda value: isinstance(value, bool))
 _string = _kind("a string", lambda value: isinstance(value, str))
 _integers = _kind("a list of integers",
                   lambda value: isinstance(value, list) and all(map(_is_integer, value)),
                   tuple)
-_range = _kind("a [lower, upper] pair of numbers",
+_range = _kind("a [lower, upper] pair of finite numbers",
                lambda value: _is_numbers(value) and len(value) == 2,
                lambda value: tuple(map(float, value)))
-_powers = _kind("a number or a non-empty list of numbers",
+_powers = _kind("a finite number or a non-empty list of finite numbers",
                 lambda value: _is_number(value) or (_is_numbers(value) and len(value) > 0),
                 lambda value: tuple(map(float, value if isinstance(value, list) else [value])))
 
@@ -685,7 +688,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
     fad = top.section("fading")
     fading = RicianConfig(
-        k_factor_db=fad.take("k_factor_db", _number, 13.0),
+        k_factor_db=fad.take("k_factor_db", _decibels, 13.0),
         block_length=fad.take("block_length", _integer, 1),
     )
     trk = top.section("tracking")

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -154,6 +156,18 @@ def test_simulate_rejects_power_labels_that_collide(runner, tmp_path, powers):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("power", ["nan", "inf", "-inf"])
+def test_simulate_rejects_a_tx_power_that_is_not_finite(runner, tmp_path, power):
+    r = runner.invoke(main, ["simulate", write_scenario(tmp_path), "--workers", "1",
+                             "--tx-power", power, "--out-dir", str(tmp_path / "out")],
+                      prog_name="v2ibeam")
+    assert r.exit_code == 2
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert err["error"] == "validation"
+    assert "tx_power_dbm" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "{scen}", "--out-dir", "{out}"],
     ["design-codebook", "--antennas", "8", "--codewords", "4", "--out", "{out}"],
@@ -217,6 +231,10 @@ def test_simulate_unknown_scenario_exits_2(runner, tmp_path):
     ("initial_state", "speed_kmh", -10.0),
     (None, "seed", -1),
     ("array", "tx_power_dbm", [10, 10.0000001]),
+    (None, "sigma_eps", math.nan),
+    ("tracking", "alpha_thres", math.nan),
+    ("motion", "ts_ms", math.nan),
+    ("array", "tx_power_dbm", math.inf),
 ])
 def test_simulate_malformed_scenario_exits_2(runner, tmp_path, section, key, value):
     doc = json.loads(json.dumps(TINY_SCENARIO))
@@ -254,6 +272,29 @@ def test_track_demo_stdout(runner):
     assert r.exit_code == 0, r.output
     assert "x_hat" in r.output
     assert len(r.output.splitlines()) >= 3
+
+
+def test_track_demo_table_matches_its_csv(runner, tmp_path):
+    # rows at multiples of --every and at the last step, alpha_hat as "-"
+    # until the gate accepts (step 69 of this trial), numbers at the printed
+    # precision of the --csv values
+    trace = tmp_path / "trace.csv"
+    r = invoke(runner, ["track-demo", "--steps", "97", "--csv", str(trace)])
+    assert r.exit_code == 0, r.output
+    with trace.open(newline="") as fh:
+        rows = {int(row["step"]): row for row in csv.DictReader(fh)}
+    r = invoke(runner, ["track-demo", "--steps", "97", "--every", "20"])
+    assert r.exit_code == 0, r.output
+    header, *lines = r.output.splitlines()
+    assert header == " step    t[s]         x     x_hat        v    v_hat alpha_hat"
+    want = []
+    for step in (20, 40, 60, 80, 97):
+        row = {key: float(cell) for key, cell in rows[step].items() if cell}
+        alpha = f"{row['alpha_hat']:9.4f}" if "alpha_hat" in row else "-"
+        want.append(f"{step:>5} {row['time_s']:7.2f} {row['x_true']:9.3f} {row['x_hat']:9.3f} "
+                    f"{row['v_true']:8.3f} {row['v_hat']:8.3f} {alpha:>9}")
+    assert lines == want
+    assert [line.endswith(" -") for line in lines] == [True, True, True, False, False]
 
 
 @pytest.mark.parametrize("every", ["0", "-3"])

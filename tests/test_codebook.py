@@ -92,7 +92,7 @@ def test_divide_regions_min_width_holds():
         q_prime += 2
     nu_min = 2 * nu_ub / q_prime
     for r in regions:
-        assert r.width >= nu_min - 1e-12
+        assert r.nu_ub - r.nu_lb >= nu_min - 1e-12
 
 
 def test_divide_regions_mirror_symmetry():
@@ -118,7 +118,7 @@ def test_divide_regions_converted_widths_strictly_decrease():
 def test_divide_regions_emitted_widths_nonincreasing_before_edge():
     regions = divide_regions(GEOM, 8.5, 64)
     positive = [r for r in regions if r.nu_lb >= 0.0]
-    widths = [r.width for r in positive]
+    widths = [r.nu_ub - r.nu_lb for r in positive]
     # the last region absorbs the tail remainder; all earlier widths shrink
     assert all(a >= b - 1e-12 for a, b in zip(widths[:-2], widths[1:-1]))
 
@@ -129,14 +129,14 @@ def test_divide_regions_layout_m96_q48():
     # geographic slices over the unclamped interior
     regions = divide_regions(GEOM, 8.5, 48)
     positive = [r for r in regions if r.nu_lb >= 0.0]
-    widths = [r.width for r in positive]
+    widths = [r.nu_ub - r.nu_lb for r in positive]
     assert widths[0] > 3 * min(widths)
     geo = [r.rho_ub - r.rho_lb for r in positive]
-    interior = [g for r, g in zip(positive, geo) if r.width > min(widths) * 1.01]
+    interior = [g for w, g in zip(widths, geo) if w > min(widths) * 1.01]
     interior = interior[:-1] or interior
     assert max(interior) / min(interior) < 1.05
     # clamped edge regions cover ever larger stretches of road
-    clamped = [g for r, g in zip(positive, geo) if abs(r.width - min(widths)) < 1e-9]
+    clamped = [g for w, g in zip(widths, geo) if abs(w - min(widths)) < 1e-9]
     assert all(b > a for a, b in zip(clamped, clamped[1:]))
 
 
@@ -284,6 +284,36 @@ def test_load_codebook_rejects_inconsistent_counts(tmp_path, corrupt, field):
         load_codebook(str(path))
 
 
+@pytest.mark.parametrize("corrupt,field", [
+    (lambda doc: doc.update(N=None), r"'N' must be an integer in 1\.\.8, got None"),
+    (lambda doc: doc.update(N=0), r"'N' must be an integer in 1\.\.8, got 0"),
+    (lambda doc: doc.update(N=9), r"'N' must be an integer in 1\.\.8, got 9"),
+    (lambda doc: doc.update(M="8"), r"'M' must be an integer"),
+    (lambda doc: doc["codewords"][1].__setitem__(3, 0.5), r"'codewords'\[1\] must be a list"),
+    (lambda doc: doc["codewords"].__setitem__(2, 0.5), r"'codewords'\[2\] must be a list"),
+    (lambda doc: doc.update(regions=5), r"'regions' must be a list, got 5"),
+    (lambda doc: doc["codewords"][1][3].__setitem__(0, "nan"), r"'codewords'\[1\] must be"),
+    (lambda doc: doc["regions"][2].update(nu_ub="inf"), r"'regions'\[2\] must be"),
+    (lambda doc: doc.update(h="-inf"), r"'h' must be a finite number"),
+    (lambda doc: doc.update(resolutions=[4.0]), r"'resolutions' must be positive integers"),
+], ids=["N_null", "N_zero", "N_above_M", "M_string", "entry_number", "codeword_number",
+        "regions_number", "entry_nan", "region_inf", "h_inf", "resolution_float"])
+def test_load_codebook_rejects_malformed_fields(tmp_path, corrupt, field):
+    book = build_codebook(GEOM, 8.5, 8, 2, 4, seed=0, workers=1)
+    path = tmp_path / "book.json"
+    save_codebook(book, str(path))
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=field):
+        load_codebook(str(path))
+
+
+def _pattern_mse(word, g):
+    """The squared pattern error that fit_codeword scores a codeword by."""
+    return float(np.sum((word.bp_samples - g) ** 2) * (2 * math.pi / g.shape[0]))
+
+
 def test_fit_recovers_realizable_atom_pattern():
     m = 16
     d = SteeringDictionary.build(m)
@@ -291,7 +321,7 @@ def test_fit_recovers_realizable_atom_pattern():
     target_bp = ctx.bp(d.atoms[:, 20])
     rng = np.random.default_rng(0)
     word = fit_codeword(target_bp, m, 1, d, rng)
-    assert word.mse <= 1e-6
+    assert _pattern_mse(word, target_bp) <= 1e-6
 
 
 def test_fit_beats_best_single_steering_column():
@@ -310,7 +340,7 @@ def test_fit_beats_best_single_steering_column():
         best_dft = float(
             np.min(np.sum((dft_bp - g[:, None]) ** 2, axis=0) * ctx.delta)
         )
-        assert word.mse <= best_dft + 1e-12
+        assert _pattern_mse(word, g) <= best_dft + 1e-12
 
 
 @pytest.mark.parametrize("m,n,q,index,winner", [
@@ -340,7 +370,6 @@ def test_fit_without_iterations_returns_the_better_safeguard(m, n, q, index, win
     assert int(np.argmin(errs)) == winner
     word = fit_codeword(g, m, n, d, np.random.default_rng(0), iters=0)
     np.testing.assert_allclose(word.u, refs[winner], rtol=0, atol=1e-12)
-    assert word.mse == pytest.approx(np.sum((word.bp_samples - g) ** 2) * delta, rel=1e-12)
 
 
 def _region_target(m, grid_size, q, index):
@@ -424,7 +453,7 @@ def test_convergence_stop_costs_no_fit_quality(m, q, index, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codebook, "_GS_TOL", 0.0)
         full = fit_codeword(g, m, 4, d, np.random.default_rng(seed))
-    assert stopped.mse <= full.mse * (1.0 + 1e-12)
+    assert _pattern_mse(stopped, g) <= _pattern_mse(full, g) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("m,q,index,iters,calls", [
@@ -536,7 +565,7 @@ def test_bench_book_is_the_fitted_book():
 
 def _word(value):
     return Codeword(u=np.full(4, value), region=BeamRegion(0.0, 1.0, 0.0, 1.0),
-                    bp_samples=np.full(8, value), mse=0.0)
+                    bp_samples=np.full(8, value))
 
 
 # Dataclasses that hold arrays compare and hash by identity, so they can key

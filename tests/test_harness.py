@@ -183,6 +183,26 @@ def test_scenario_rejects_a_value_of_the_wrong_kind(section, key, data):
         scenario_from_dict(_full_doc_with(section, key, value))
 
 
+NUMBER_KEYS = [(section, key) for section, key in ALL_KEYS
+               if _kind(key) in ("number", "range_m", "tx_power_dbm")]
+
+
+@pytest.mark.parametrize("section,key", NUMBER_KEYS, ids=[k for _, k in NUMBER_KEYS])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "int_beyond_float"])
+def test_scenario_rejects_a_number_that_is_not_finite(section, key, bad):
+    # through JSON, as a file would spell it: NaN, Infinity, -Infinity, 1000...0
+    value = FULL_DOC[section][key] if section else FULL_DOC[key]
+    value = [bad, *value[1:]] if isinstance(value, list) else bad
+    doc = json.loads(json.dumps(_full_doc_with(section, key, value)))
+    if key == "k_factor_db" and bad in (math.inf, -math.inf):
+        # documented: -Infinity is pure Rayleigh fading, Infinity pure line of sight
+        assert scenario_from_dict(doc).fading.k_factor_db == bad
+        return
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        scenario_from_dict(doc)
+
+
 @pytest.mark.parametrize("section,key", NULLABLE, ids=[k for _, k in NULLABLE])
 def test_scenario_null_means_default(section, key):
     omitted = json.loads(json.dumps(FULL_DOC))
@@ -412,11 +432,8 @@ def test_record_block_row_view(monkeypatch):
     block = run_experiment(s, workers=1)[0].records
     rows = list(block)
     assert len(block) == len(rows) == 14
-    assert [block[i] for i in range(-14, 14)] == rows + rows
-    assert list(block[3:9]) == rows[3:9]
+    assert [(r.trial, r.step) for r in rows] == [(t, k) for t in range(2) for k in range(1, 8)]
     assert list(RecordBlock.from_rows(rows)) == rows
-    with pytest.raises(IndexError):
-        block[14]
     text = records_to_csv(block)
     # chunk boundaries change neither the rows nor the bytes
     monkeypatch.setattr(harness, "ROWS_PER_CHUNK", 3)
@@ -599,7 +616,7 @@ def test_track_demo_converges_toward_truth():
     # single-trajectory qualitative check: the position estimate approaches
     # the truth as sounding accumulates, despite the initial feedback error
     s = dataclasses.replace(bundled_scenario("track_demo"), horizon=400)
-    records = run_trial(s, 0)
+    records = list(run_trial(s, 0))
     first = abs(records[0].x_true - records[0].x_hat)
     tail = [abs(r.x_true - r.x_hat) for r in records[-50:]]
     assert np.mean(tail) < first
@@ -629,7 +646,7 @@ def test_dft2_runs_with_odd_omega():
     initial = harness.make_tracker(
         s, np.random.default_rng(np.random.SeedSequence([s.seed, 0]))
     ).belief
-    records = run_trial(s, 0)
+    records = list(run_trial(s, 0))
     for tau in range(0, s.horizon, s.omega):
         if tau == 0:
             x_hat, y_hat = float(initial.mean[0]), float(initial.mean[1])

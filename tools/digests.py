@@ -3,6 +3,9 @@
 Runs, in a temporary directory:
   - `v2ibeam simulate <scenario> --trials 2 --horizon 40 --format csv
     --format svg` for every bundled scenario, with `--workers 1` and 2;
+  - `v2ibeam simulate gain_m64_hybrid --trials 2 --horizon 40 --codebook
+    bench/data/gain_m64_q64_n4.json`, with `--workers 1` and 2, into
+    workers<N>/loaded_book/, so that the codebook reader is covered too;
   - `v2ibeam design-codebook` at two sizes, with `--workers 1` and 2;
   - `v2ibeam track-demo --scenario <name>` for the two demo scenarios, once
     with `--csv` and once printing its table (saved as `<name>.stdout`);
@@ -31,7 +34,9 @@ import subprocess
 import sys
 import tempfile
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SRC = os.path.join(ROOT, "src")
+LOADED_BOOK = os.path.join(ROOT, "bench", "data", "gain_m64_q64_n4.json")
 WORKERS = (1, 2)
 BOOKS = {
     "m16_q8": ["--antennas", "16", "--rf-chains", "2", "--codewords", "8", "--seed", "0"],
@@ -63,6 +68,10 @@ def main() -> None:
                 run_cli(args.src, ["simulate", name, "--trials", "2", "--horizon", "40",
                                    "--format", "csv", "--format", "svg",
                                    "--workers", str(workers), "--out-dir", out])
+            run_cli(args.src, ["simulate", "gain_m64_hybrid", "--trials", "2", "--horizon", "40",
+                               "--codebook", os.path.abspath(LOADED_BOOK),
+                               "--workers", str(workers),
+                               "--out-dir", os.path.join(out, "loaded_book")])
             for name, book_args in BOOKS.items():
                 run_cli(args.src, ["design-codebook", *book_args, "--workers", str(workers),
                                    "--out", os.path.join(out, f"codebook_{name}.json")])
