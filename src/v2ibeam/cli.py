@@ -6,7 +6,6 @@ emitted on stderr as single-line JSON objects.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
@@ -17,21 +16,20 @@ import click
 import numpy as np
 
 from . import harness as harness_mod
-from .array_channel import RoadGeometry
-from .codebook import build_codebook, load_codebook, save_codebook, validate
+from .codebook import save_codebook, validate
 from .harness import (
     bundled_scenario_names,
     bundled_scenario_path,
-    load_scenario,
     records_from_csv,
     records_to_csv,
+    resolve_codebook,
     run_experiment,
     run_trial,
+    scenario_from_dict,
     summaries_to_csv,
     summarize,
 )
 from .plotting import svg_line_chart
-from .units import dbm_to_mw
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -82,16 +80,14 @@ def main():
 def design_codebook(antennas, rf_chains, codewords, lane_offset, rsu_height,
                     range_m, seed, out, workers):
     """Design a road-aware beamforming codebook and write it as JSON."""
-    geometry = RoadGeometry(
-        rsu_height_m=rsu_height,
-        lane_offset_m=lane_offset,
-        range_lb_m=range_m[0],
-        range_ub_m=range_m[1],
-    )
-    book = build_codebook(
-        geometry, lane_offset, antennas, rf_chains, list(codewords),
-        seed=seed, workers=workers,
-    )
+    scenario = scenario_from_dict({
+        "geometry": {"rsu_height_m": rsu_height, "lane_offset_m": lane_offset,
+                     "range_m": list(range_m)},
+        "array": {"num_antennas": antennas, "num_rf_chains": rf_chains},
+        "beam": {"scheme": "codebook", "codewords": list(codewords)},
+        "seed": seed,
+    })
+    book = resolve_codebook(scenario, workers=workers)
     checks = validate(book)
     save_codebook(book, out)
     click.echo(f"wrote {out}: M={book.num_antennas} N={book.num_rf_chains} "
@@ -102,28 +98,28 @@ def design_codebook(antennas, rf_chains, codewords, lane_offset, rsu_height,
     click.echo(f"gain-pattern peak: {checks['bp_peak']:.6f}")
 
 
-def _resolve_scenario(ref: str):
-    if os.path.exists(ref):
-        return load_scenario(ref)
-    try:
-        return load_scenario(bundled_scenario_path(ref))
-    except FileNotFoundError:
-        raise ValueError(
-            f"scenario {ref!r} is neither a file nor a bundled name "
-            f"(bundled: {', '.join(bundled_scenario_names())})"
-        ) from None
-
-
-def _apply_overrides(scenario, tx_power=(), **fields):
-    """The scenario with every field given a value replaced; --tx-power
-    replaces the power sweep, whose first power the array carries."""
-    updates = {key: value for key, value in fields.items() if value is not None}
-    if tx_power:
-        updates["tx_powers_dbm"] = tuple(tx_power)
-        updates["array"] = dataclasses.replace(
-            scenario.array, tx_power_mw=dbm_to_mw(tx_power[0])
-        )
-    return dataclasses.replace(scenario, **updates)
+def _read_scenario(ref: str, keys: dict):
+    """The scenario of a file path or a bundled name, read by
+    scenario_from_dict after each of `keys` that was given a value is
+    written into the document: "section.key" names a key of a section."""
+    if not os.path.exists(ref):
+        try:
+            ref = bundled_scenario_path(ref)
+        except FileNotFoundError:
+            raise ValueError(
+                f"scenario {ref!r} is neither a file nor a bundled name "
+                f"(bundled: {', '.join(bundled_scenario_names())})"
+            ) from None
+    with open(ref, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for key, value in keys.items():
+        section, _, leaf = key.rpartition(".")
+        if value is None or not isinstance(doc, dict):
+            continue  # the reader rejects a document or section that is not an object
+        part = doc.setdefault(section, {}) if section else doc
+        if isinstance(part, dict):
+            part[leaf] = value
+    return scenario_from_dict(doc)
 
 
 @main.command()
@@ -150,11 +146,12 @@ def _apply_overrides(scenario, tx_power=(), **fields):
 def simulate(scenario_ref, trials, seed, horizon, tracker, combiner, tx_power,
              codebook_path, out_dir, formats, workers):
     """Run a Monte-Carlo experiment from a scenario file or bundled name."""
-    scenario = _resolve_scenario(scenario_ref)
-    scenario = _apply_overrides(scenario, tx_power, trials=trials, seed=seed,
-                                horizon=horizon, tracker=tracker, combiner_mode=combiner)
-    book = load_codebook(codebook_path) if codebook_path else None
-    results = run_experiment(scenario, workers=workers, book=book)
+    scenario = _read_scenario(scenario_ref, {
+        "trials": trials, "seed": seed, "horizon": horizon,
+        "tracking.tracker": tracker, "tracking.combiner_mode": combiner,
+        "array.tx_power_dbm": list(tx_power) or None, "beam.codebook_path": codebook_path,
+    })
+    results = run_experiment(scenario, workers=workers)
     os.makedirs(out_dir, exist_ok=True)
     summaries = [r.summary for r in results]
     if "csv" in formats:
@@ -209,8 +206,7 @@ def track_demo(scenario_ref, steps, seed, every, csv_path):
     """Trace one tracking trial: true vs estimated state per sounding step."""
     if every < 1:
         raise ValueError(f"--every must be >= 1, got {every}")
-    scenario = _resolve_scenario(scenario_ref)
-    scenario = _apply_overrides(scenario, trials=1, seed=seed, horizon=steps)
+    scenario = _read_scenario(scenario_ref, {"seed": seed, "horizon": steps})
     records = run_trial(scenario, 0)
     if csv_path:
         with open(csv_path, "w", encoding="utf-8") as fh:

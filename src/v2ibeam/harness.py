@@ -505,8 +505,9 @@ def records_from_csv(text: str) -> RecordBlock:
 
     Empty cells are accepted only in the optional columns, and a row's
     BEAM_COLUMNS must be all set or all empty; an integer cell must fit in
-    int64 and a step counts from 1. Any other cell is a ValueError that names
-    its line."""
+    int64 and a step counts from 1. A cell with surrounding whitespace or an
+    underscore, which int() and float() would take, and any other bad cell is
+    a ValueError that names its line."""
     reader = csv.DictReader(io.StringIO(text))
     missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
     if missing:
@@ -522,6 +523,8 @@ def records_from_csv(text: str) -> RecordBlock:
                     columns[name].append(0)
                     continue
             try:
+                if cell != cell.strip() or "_" in cell:
+                    raise ValueError("not a cell records_to_csv writes")
                 value = parse(cell)
                 if name == "step" and value < 1:
                     raise ValueError("steps count from 1")
@@ -604,8 +607,10 @@ _string = _kind("a string", lambda value: isinstance(value, str))
 _integers = _kind("a list of integers",
                   lambda value: isinstance(value, list) and all(map(_is_integer, value)),
                   tuple)
-_range = _kind("a [lower, upper] pair of finite numbers",
-               lambda value: _is_numbers(value) and len(value) == 2,
+_angle = _kind("a finite number in [-pi/2, pi/2]",
+               lambda value: _is_number(value) and abs(value) <= math.pi / 2, float)
+_range = _kind("a [lower, upper] pair of finite numbers with lower < upper",
+               lambda value: _is_numbers(value) and len(value) == 2 and value[0] < value[1],
                lambda value: tuple(map(float, value)))
 _powers = _kind("a finite number or a non-empty list of finite numbers",
                 lambda value: _is_number(value) or (_is_numbers(value) and len(value) > 0),
@@ -680,11 +685,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
     mot = top.section("motion")
     motion = MotionModel(
-        ts=mot.take("ts_ms", _number, 10.0) / 1e3,
-        steering_angle=mot.take("steering_angle_rad", _number, math.pi / 2**7),
+        ts=mot.take("ts_ms", _positive, 10.0) / 1e3,
+        steering_angle=mot.take("steering_angle_rad", _angle, math.pi / 2**7),
         # follows the reference setup: 0.1 * (v0_kmh * 1000 / 3600)
-        sigma_alpha=mot.take("sigma_alpha", _number, 0.1 * v0, nullable=True),
-        sigma_omega=mot.take("sigma_omega", _number, 10.0**-1.5),
+        sigma_alpha=mot.take("sigma_alpha", _nonnegative, 0.1 * v0, nullable=True),
+        sigma_omega=mot.take("sigma_omega", _nonnegative, 10.0**-1.5),
     )
     fad = top.section("fading")
     fading = RicianConfig(
@@ -695,7 +700,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     beam = top.section("beam")
     fields = dict(
         name=top.take("name", _string, "scenario"),
-        sigma_eps=top.take("sigma_eps", _number, 0.0),
+        sigma_eps=top.take("sigma_eps", _nonnegative, 0.0),
         omega=top.take("omega", _integer, 10),
         trials=top.take("trials", _integer, 1),
         horizon=top.take("horizon", _integer, 100),
@@ -706,7 +711,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         combiner_mode=trk.take("combiner_mode", _string, "optimal"),
         feedback_period=trk.take("feedback_period", _integer, 5),
         accel_min_step=trk.take("accel_min_step", _integer, 10),
-        alpha_thres=trk.take("alpha_thres", _number, 0.03),
+        alpha_thres=trk.take("alpha_thres", _positive, 0.03),
         beam_scheme=beam.take("scheme", _string, "none"),
         codebook_path=beam.take("codebook_path", _string, None, nullable=True),
         codebook_codewords=beam.take("codewords", _integers, None, nullable=True),

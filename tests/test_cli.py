@@ -235,6 +235,14 @@ def test_simulate_unknown_scenario_exits_2(runner, tmp_path):
     ("tracking", "alpha_thres", math.nan),
     ("motion", "ts_ms", math.nan),
     ("array", "tx_power_dbm", math.inf),
+    (None, "sigma_eps", -0.1),
+    ("tracking", "alpha_thres", 0),
+    ("tracking", "alpha_thres", -1),
+    ("motion", "ts_ms", 0),
+    ("motion", "sigma_alpha", -1),
+    ("motion", "sigma_omega", -1),
+    ("motion", "steering_angle_rad", 3),
+    ("geometry", "range_m", [10, -10]),
 ])
 def test_simulate_malformed_scenario_exits_2(runner, tmp_path, section, key, value):
     doc = json.loads(json.dumps(TINY_SCENARIO))
@@ -246,6 +254,79 @@ def test_simulate_malformed_scenario_exits_2(runner, tmp_path, section, key, val
     assert err["error"] == "validation"
     assert key in err["message"]
     assert not (tmp_path / "out").exists()
+
+
+_BOOK_ARGS = ["design-codebook", "--antennas", "8", "--codewords", "4", "--workers", "1",
+              "--out", "{out}"]
+
+
+@pytest.mark.parametrize("command,key", [
+    (["simulate", "{scen}", "--seed", "-1", "--workers", "1", "--out-dir", "{out}"], "seed"),
+    (["track-demo", "--scenario", "{scen}", "--seed", "-1", "--csv", "{out}"], "seed"),
+    (_BOOK_ARGS + ["--seed", "-1"], "seed"),
+    (_BOOK_ARGS + ["--lane-offset", "nan"], "lane_offset_m"),
+    (_BOOK_ARGS + ["--rsu-height", "nan"], "rsu_height_m"),
+    (_BOOK_ARGS + ["--range", "nan", "75"], "range_m"),
+    (_BOOK_ARGS + ["--range", "-inf", "inf"], "range_m"),
+])
+def test_an_option_is_checked_as_the_scenario_key_it_sets(runner, tmp_path, command, key):
+    out = tmp_path / "out"
+    args = [a.format(scen=write_scenario(tmp_path), out=out) for a in command]
+    r = runner.invoke(main, args, prog_name="v2ibeam")
+    assert r.exit_code == 2
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert err["error"] == "validation"
+    assert f"scenario key {key!r}" in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc,option,where", [
+    ([TINY_SCENARIO], ["--seed", "1"], "top level"),
+    (dict(TINY_SCENARIO, tracking=["proposed"]), ["--tracker", "proposed"], "'tracking'"),
+    (dict(TINY_SCENARIO, array=None), ["--tx-power", "10"], "'array'"),
+])
+def test_an_option_leaves_a_part_that_is_not_an_object_to_the_reader(runner, tmp_path, doc,
+                                                                    option, where):
+    r = runner.invoke(main, ["simulate", write_scenario(tmp_path, doc), *option,
+                             "--workers", "1", "--out-dir", str(tmp_path / "out")],
+                      prog_name="v2ibeam")
+    assert r.exit_code == 2
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert err["error"] == "validation"
+    assert f"{where} must be an object" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_options_match_the_scenario_keys_they_set(runner, tmp_path):
+    doc = json.loads(json.dumps(TINY_SCENARIO))
+    doc.update(seed=7, trials=2, horizon=30)
+    doc["array"]["tx_power_dbm"] = [0, 20]
+    doc["tracking"] = {"tracker": "manifold-baseline", "combiner_mode": "hybrid"}
+    (tmp_path / "keys").mkdir()
+    by_keys = invoke(runner, ["simulate", write_scenario(tmp_path / "keys", doc),
+                              "--workers", "1", "--out-dir", str(tmp_path / "by_keys")])
+    by_options = invoke(runner, [
+        "simulate", write_scenario(tmp_path), "--seed", "7", "--trials", "2",
+        "--horizon", "30", "--tx-power", "0", "--tx-power", "20",
+        "--tracker", "manifold-baseline", "--combiner", "hybrid",
+        "--workers", "1", "--out-dir", str(tmp_path / "by_options")])
+    assert by_keys.exit_code == by_options.exit_code == 0, by_options.output
+    names = sorted(p.name for p in (tmp_path / "by_keys").iterdir())
+    assert names == ["tiny_0dBm_results.csv", "tiny_20dBm_results.csv", "tiny_summary.csv"]
+    assert names == sorted(p.name for p in (tmp_path / "by_options").iterdir())
+    for name in names:
+        assert (tmp_path / "by_keys" / name).read_bytes() == \
+            (tmp_path / "by_options" / name).read_bytes()
+    assert by_keys.output.replace("by_keys", "by_options") == by_options.output
+
+
+def test_simulate_reads_no_codebook_for_a_scheme_without_one(runner, tmp_path):
+    # --codebook sets beam.codebook_path, which the dft2 scheme never reads
+    book = tmp_path / "not_a_book.json"
+    book.write_text("{}")
+    r = invoke(runner, ["simulate", write_scenario(tmp_path), "--codebook", str(book),
+                        "--workers", "1", "--out-dir", str(tmp_path / "out")])
+    assert r.exit_code == 0, r.output
 
 
 def test_single_trial_bundled_run_is_fast(runner, tmp_path):

@@ -214,9 +214,31 @@ def test_scenario_null_means_default(section, key):
     ("initial_state", "speed_kmh", 0.0),
     (None, "seed", 0),
     ("tracking", "accel_min_step", 1),
+    (None, "sigma_eps", 0.0),
+    ("motion", "sigma_alpha", 0.0),
+    ("motion", "sigma_omega", 0.0),
+    ("motion", "steering_angle_rad", math.pi / 2),
+    ("motion", "steering_angle_rad", -math.pi / 2),
 ])
 def test_scenario_accepts_range_edges(section, key, value):
     scenario_from_dict(_doc_with(section, key, value))
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (None, "sigma_eps", -0.1),
+    ("tracking", "alpha_thres", 0),
+    ("tracking", "alpha_thres", -1),
+    ("motion", "ts_ms", 0),
+    ("motion", "sigma_alpha", -1),
+    ("motion", "sigma_omega", -1),
+    ("motion", "steering_angle_rad", 3),
+    ("motion", "steering_angle_rad", -1.6),
+    ("geometry", "range_m", [10, -10]),
+    ("geometry", "range_m", [10, 10]),
+])
+def test_scenario_names_a_key_out_of_range(section, key, value):
+    with pytest.raises(ValueError, match=re.escape(f"scenario key {key!r} = {value!r}")):
+        scenario_from_dict(_doc_with(section, key, value))
 
 
 @pytest.mark.parametrize("value", [0, -1, 2.5, True, "5"])
@@ -410,6 +432,10 @@ _BEAM_ROW = TrialRecord(0, 2, 0.02, 1.0, 8.5, 19.0, 1.1, 8.4, 19.2, None, 3, 0.9
     ("beam_index", "", "beam_index, gain_norm and rate_bps_hz must be all set or all empty"),
     ("trial", str(2**63), f"bad trial cell '{2**63}'"),
     ("beam_index", str(-2**63 - 1), f"bad beam_index cell '{-2**63 - 1}'"),
+    ("step", " 1_0 ", "bad step cell ' 1_0 '"),
+    ("step", "10 ", "bad step cell '10 '"),
+    ("x_true", "1_000.5", "bad x_true cell '1_000.5'"),
+    ("x_true", " 1.5", "bad x_true cell ' 1.5'"),
 ])
 def test_results_csv_reader_rejects_a_bad_row_by_line(column, cell, message):
     # the bad row is the third data row, after a blank line: line 5

@@ -7,6 +7,9 @@ Runs, in a temporary directory:
     bench/data/gain_m64_q64_n4.json`, with `--workers 1` and 2, into
     workers<N>/loaded_book/, so that the codebook reader is covered too;
   - `v2ibeam design-codebook` at two sizes, with `--workers 1` and 2;
+  - with `--workers 1` and 2, into workers<N>/overrides/, one `simulate` run
+    whose options replace its scenario's seed, power sweep, tracker and
+    combiner, and one `design-codebook` run at a non-default road geometry;
   - `v2ibeam track-demo --scenario <name>` for the two demo scenarios, once
     with `--csv` and once printing its table (saved as `<name>.stdout`);
   - `v2ibeam report --out --svg` on each track-demo CSV;
@@ -44,6 +47,14 @@ BOOKS = {
                   "--codewords", "16", "--seed", "3"],
 }
 DEMOS = ("track_demo", "track_demo_hybrid")
+OVERRIDES = [
+    ["simulate", "nmse_m96_baseline", "--trials", "2", "--horizon", "40", "--seed", "11",
+     "--tx-power", "5", "--tx-power", "15", "--tracker", "proposed", "--combiner", "hybrid",
+     "--out-dir", "{out}"],
+    ["design-codebook", "--antennas", "16", "--rf-chains", "2", "--codewords", "8",
+     "--lane-offset", "5", "--rsu-height", "10", "--range", "-60", "60", "--seed", "2",
+     "--out", "{out}/codebook_m16_road.json"],
+]
 
 
 def run_cli(src: str, args: list[str], stdout=subprocess.DEVNULL) -> None:
@@ -75,6 +86,9 @@ def main() -> None:
             for name, book_args in BOOKS.items():
                 run_cli(args.src, ["design-codebook", *book_args, "--workers", str(workers),
                                    "--out", os.path.join(out, f"codebook_{name}.json")])
+            for command in OVERRIDES:
+                run_cli(args.src, [arg.format(out=os.path.join(out, "overrides"))
+                                   for arg in command] + ["--workers", str(workers)])
         out = os.path.join(tmp, "demo")
         os.makedirs(out)
         for name in DEMOS:
