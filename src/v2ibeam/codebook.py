@@ -21,7 +21,6 @@ import functools
 import json
 import math
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -35,6 +34,8 @@ GS_ITERS = 50
 GS_INITS = 8
 _GS_TOL = 1e-9  # the fit stops once no OMP output entry moves this much
 _TILE_EPS = 1e-12
+_BOOK_KEYS = ("M", "N", "Q", "y_design", "h", "L", "resolutions", "regions", "codewords")
+_REGION_KEYS = ("nu_lb", "nu_ub", "rho_lb", "rho_ub")
 
 
 @dataclass(frozen=True)
@@ -190,8 +191,9 @@ def position_pdf_to_bp(
 
     Samples are cell averages; the closed-form antiderivative of the
     transformed density is the inverse position map, so the sampled pattern
-    integrates to exactly 2 pi / M. Peaks above unit gain mean the region is
-    oversampled (unrealizable) and are flagged with a warning.
+    integrates to exactly 2 pi / M. A peak above unit gain means the region is
+    oversampled, and no codeword can realize it; validate()["bp_peak"], which
+    design-codebook prints, reports the fitted book's realized peak.
     """
     if region.nu_ub <= region.nu_lb:
         raise ValueError("empty beam region")
@@ -201,16 +203,7 @@ def position_pdf_to_bp(
     lo = np.clip(grid - delta / 2.0, region.nu_lb, region.nu_ub)
     hi = np.clip(grid + delta / 2.0, region.nu_lb, region.nu_ub)
     mass = (spatial_to_geo(hi, k) - spatial_to_geo(lo, k)) / (region.rho_ub - region.rho_lb)
-    g = (2.0 * math.pi / num_antennas) * mass / delta
-    peak = float(g.max())
-    if peak > 1.0 + 1e-6:
-        warnings.warn(
-            f"oversampled beam-region [{region.nu_lb:.4f}, {region.nu_ub:.4f}): "
-            f"target gain peaks at {peak:.3f} > 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return g
+    return (2.0 * math.pi / num_antennas) * mass / delta
 
 
 def _check_grid(grid_size: int, num_antennas: int) -> None:
@@ -311,12 +304,6 @@ def fit_codeword(
     since the previous alternation; that block is not scored, because its
     rows are within _GS_TOL of rows already scored. Fits in a limit cycle
     never settle and run all iters. iters=0 scores the safeguards alone.
-
-    The projection loop runs on inits x L buffers allocated once. They are in
-    Fortran order, the layout the starts have as rows of phases.T, and the
-    safeguard block is scored on fresh C-ordered arrays, because the last bits
-    of orthogonal_matching_pursuit's fits and of the error row sums depend on
-    the layout, and so do the codebook bytes.
     """
     if inits < 1:
         raise ValueError(f"inits must be >= 1, got {inits}")
@@ -329,11 +316,10 @@ def fit_codeword(
     best_u: np.ndarray | None = None
     best_mse = math.inf
 
-    def buffers(rows: int, order: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def buffers(rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Patterns, their magnitudes and a real work block, rows x L each."""
-        return (np.empty((rows, grid_size), complex, order=order),
-                np.empty((rows, grid_size), order=order),
-                np.empty((rows, grid_size), order=order))
+        return (np.empty((rows, grid_size), complex), np.empty((rows, grid_size)),
+                np.empty((rows, grid_size)))
 
     def score(block: np.ndarray, patterns: np.ndarray, mags: np.ndarray,
               err: np.ndarray) -> None:
@@ -351,13 +337,14 @@ def fit_codeword(
         row = int(np.argmin(errs))
         if errs[row] < best_mse:
             best_mse = float(errs[row])
-            best_u = block[row].copy()  # contiguous, as a pool process returns it
+            best_u = block[row].copy()  # not a view that keeps the block alive
 
     # Alternating-projection candidates from random phase starts, iterated as
-    # one inits x M block: one OMP call and one FFT pair per iteration.
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=(grid_size, inits))
-    batch = ctx.backproject(amplitude * np.exp(1j * phases.T))
-    patterns, mags, work = buffers(inits, "F")
+    # one inits x M block: one OMP call and one FFT pair per iteration, on
+    # inits x L buffers allocated once. Each start is a column of the draw.
+    phases = rng.uniform(0.0, 2.0 * math.pi, size=(grid_size, inits)).T.copy()
+    batch = ctx.backproject(amplitude * np.exp(1j * phases))
+    patterns, mags, work = buffers(inits)
     inverse = np.empty_like(patterns)
     previous = None
     for _ in range(iters):
@@ -380,7 +367,7 @@ def fit_codeword(
     safeguards = np.stack([ctx.backproject(amplitude.astype(complex)),
                            dictionary.atom_rows[best_atom]])
     score(orthogonal_matching_pursuit(safeguards, dictionary, num_rf_chains)[0],
-          *buffers(2, "C"))
+          *buffers(2))
 
     return Codeword(u=best_u, region=region, bp_samples=ctx.bp(best_u))
 
@@ -388,9 +375,7 @@ def fit_codeword(
 def _fit_region(region, seed_key, *, geom, y_design, num_antennas, num_rf_chains):
     dictionary = SteeringDictionary.build(num_antennas)
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        g = position_pdf_to_bp(region, y_design, geom.rsu_height_m, num_antennas)
+    g = position_pdf_to_bp(region, y_design, geom.rsu_height_m, num_antennas)
     return fit_codeword(g, num_antennas, num_rf_chains, dictionary, rng, region=region)
 
 
@@ -556,9 +541,10 @@ def save_codebook(book: Codebook, path: str) -> None:
 
 
 def load_codebook(path: str) -> Codebook:
-    """Read a codebook that save_codebook wrote. A missing field, a field of
-    the wrong type or shape, a number that is not finite, an N outside 1..M
-    and counts that disagree are ValueErrors that name the field."""
+    """Read a codebook that save_codebook wrote. A missing field, an unknown
+    key, a field of the wrong type or shape, a number that is not finite, an
+    N outside 1..M and counts that disagree are ValueErrors that name the
+    field."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
 
@@ -589,7 +575,12 @@ def load_codebook(path: str) -> Codebook:
             raise ValueError(f"codebook {path}: {field} must be a list, got {value!r}")
         return value
 
+    def known(obj: dict, keys: tuple[str, ...], field: str) -> None:
+        unknown = sorted(set(obj) - set(keys))
+        check(not unknown, field, f"has unknown keys {unknown}")
+
     check(isinstance(doc, dict), "document", "must be an object")
+    known(doc, _BOOK_KEYS, "document")
     m = integer("M", 1)
     n = integer("N", 1, m)
     q = integer("Q", 1)
@@ -612,8 +603,9 @@ def load_codebook(path: str) -> Codebook:
               f"has {len(vec)} entries, 'M' is {m}")
         u = finite(lambda: [float(re) + 1j * float(im) for re, im in vec], f"'codewords'[{index}]",
                    "a list of [re, im] pairs of finite numbers or decimal strings")
-        bounds = finite(lambda: [float(reg[k]) for k in ("nu_lb", "nu_ub", "rho_lb", "rho_ub")],
+        bounds = finite(lambda: [float(reg[k]) for k in _REGION_KEYS],
                         f"'regions'[{index}]", "an object of finite nu_lb, nu_ub, rho_lb, rho_ub")
+        known(reg, _REGION_KEYS, f"'regions'[{index}]")
         words.append(Codeword(u=u, region=BeamRegion(*bounds.tolist()), bp_samples=ctx.bp(u)))
     return Codebook(
         num_antennas=m,

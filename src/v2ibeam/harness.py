@@ -505,9 +505,9 @@ def records_from_csv(text: str) -> RecordBlock:
 
     Empty cells are accepted only in the optional columns, and a row's
     BEAM_COLUMNS must be all set or all empty; an integer cell must fit in
-    int64 and a step counts from 1. A cell with surrounding whitespace or an
-    underscore, which int() and float() would take, and any other bad cell is
-    a ValueError that names its line."""
+    int64 and a step counts from 1. A cell must be spelt as csv.writer spells
+    its value (so not '+1', '01', '1E2' or 'Infinity', which int() and float()
+    would take); any other bad cell is a ValueError that names its line."""
     reader = csv.DictReader(io.StringIO(text))
     missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
     if missing:
@@ -523,9 +523,9 @@ def records_from_csv(text: str) -> RecordBlock:
                     columns[name].append(0)
                     continue
             try:
-                if cell != cell.strip() or "_" in cell:
-                    raise ValueError("not a cell records_to_csv writes")
                 value = parse(cell)
+                if str(value) != cell:
+                    raise ValueError("not a cell records_to_csv writes")
                 if name == "step" and value < 1:
                     raise ValueError("steps count from 1")
                 columns[name].append(value)  # OverflowError outside int64

@@ -120,12 +120,6 @@ def orthogonal_matching_pursuit(
     Returns the unit-norm fits z = (t - r)/||t - r|| as a (B, M) block and the
     (B, N) chosen atom indices in pick order. A zero row has z equal to its
     first chosen atom.
-
-    The fits keep the memory layout of targets, and the reductions run in an
-    order set by that layout: a C-ordered and an F-ordered block of the same
-    values can give fits that differ in their last bits, which the alternating
-    projections of codebook.fit_codeword then amplify. fit_codeword keeps the
-    F order its random starts have, so a codebook's bytes stay fixed.
     """
     rows, m = targets.shape
     if num_rf_chains < 1:

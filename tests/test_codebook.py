@@ -191,9 +191,7 @@ def test_target_pattern_mass_and_support():
     regions = divide_regions(GEOM, 8.5, 64)
     grid = psi_grid()
     for r in (regions[0], regions[20], regions[32], regions[-1]):
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", category=RuntimeWarning)
-            g = position_pdf_to_bp(r, 8.5, 7.5, 64)
+        g = position_pdf_to_bp(r, 8.5, 7.5, 64)
         mass = integrate_bp(g)
         assert mass == pytest.approx(2 * math.pi / 64, rel=1e-3)
         outside = (grid < r.nu_lb - 2e-3) | (grid > r.nu_ub + 2e-3)
@@ -214,17 +212,16 @@ def test_target_pattern_symmetric_center_region():
     assert g[inside[-3]] > g[mid]
 
 
-def test_target_pattern_peak_grows_toward_edge_and_warns():
+def test_target_pattern_peak_grows_toward_edge():
+    """The edge region's target peaks above unit gain (it is oversampled),
+    and computing it emits no warning."""
     regions = divide_regions(GEOM, 8.5, 64)
     positive = [r for r in regions if r.nu_lb >= 0.0]
-    peaks = []
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", category=RuntimeWarning)
-        for r in positive:
-            peaks.append(position_pdf_to_bp(r, 8.5, 7.5, 64).max())
+        warnings.simplefilter("error")
+        peaks = [position_pdf_to_bp(r, 8.5, 7.5, 64).max() for r in positive]
     assert peaks[-1] > peaks[0]
-    with pytest.warns(RuntimeWarning, match="oversampled"):
-        position_pdf_to_bp(positive[-1], 8.5, 7.5, 64)
+    assert peaks[-1] > 1.0
 
 
 def _steering(m, grid_size):
@@ -296,8 +293,14 @@ def test_load_codebook_rejects_inconsistent_counts(tmp_path, corrupt, field):
     (lambda doc: doc["regions"][2].update(nu_ub="inf"), r"'regions'\[2\] must be"),
     (lambda doc: doc.update(h="-inf"), r"'h' must be a finite number"),
     (lambda doc: doc.update(resolutions=[4.0]), r"'resolutions' must be positive integers"),
+    (lambda doc: doc.update(l=doc.pop("L") // 2), r"document has unknown keys \['l'\]"),
+    (lambda doc: doc.update(width=1.0, note="x"),
+     r"document has unknown keys \['note', 'width'\]"),
+    (lambda doc: doc["regions"][2].update(width="0.1"),
+     r"'regions'\[2\] has unknown keys \['width'\]"),
 ], ids=["N_null", "N_zero", "N_above_M", "M_string", "entry_number", "codeword_number",
-        "regions_number", "entry_nan", "region_inf", "h_inf", "resolution_float"])
+        "regions_number", "entry_nan", "region_inf", "h_inf", "resolution_float",
+        "L_misspelt", "extra_key", "extra_region_key"])
 def test_load_codebook_rejects_malformed_fields(tmp_path, corrupt, field):
     book = build_codebook(GEOM, 8.5, 8, 2, 4, seed=0, workers=1)
     path = tmp_path / "book.json"
@@ -333,9 +336,7 @@ def test_fit_beats_best_single_steering_column():
     rng = np.random.default_rng(1)
     dft_bp = np.abs(_steering(m, 4096).conj().T @ dft.atoms) ** 2 / m
     for r in (regions[8], regions[12], regions[-1]):
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", category=RuntimeWarning)
-            g = position_pdf_to_bp(r, 8.5, 7.5, m)
+        g = position_pdf_to_bp(r, 8.5, 7.5, m)
         word = fit_codeword(g, m, 4, d, rng, region=r)
         best_dft = float(
             np.min(np.sum((dft_bp - g[:, None]) ** 2, axis=0) * ctx.delta)
@@ -355,9 +356,7 @@ def test_fit_without_iterations_returns_the_better_safeguard(m, n, q, index, win
     steering = _steering(m, 4096)
     delta = 2 * math.pi / 4096
     d = SteeringDictionary.build(m)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", category=RuntimeWarning)
-        g = position_pdf_to_bp(divide_regions(GEOM, 8.5, q)[index], 8.5, 7.5, m)
+    g = position_pdf_to_bp(divide_regions(GEOM, 8.5, q)[index], 8.5, 7.5, m)
 
     def bp(u):
         return np.abs(steering.conj().T @ u) ** 2 / m
@@ -373,10 +372,8 @@ def test_fit_without_iterations_returns_the_better_safeguard(m, n, q, index, win
 
 
 def _region_target(m, grid_size, q, index):
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", category=RuntimeWarning)
-        return position_pdf_to_bp(divide_regions(GEOM, 8.5, q)[index % q], 8.5, 7.5, m,
-                                  grid_size)
+    return position_pdf_to_bp(divide_regions(GEOM, 8.5, q)[index % q], 8.5, 7.5, m,
+                              grid_size)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -422,9 +419,7 @@ def test_fit_codeword_invariants():
     m = 16
     d = SteeringDictionary.build(m)
     regions = divide_regions(GEOM, 8.5, 16)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", category=RuntimeWarning)
-        g = position_pdf_to_bp(regions[9], 8.5, 7.5, m)
+    g = position_pdf_to_bp(regions[9], 8.5, 7.5, m)
     word = fit_codeword(g, m, 4, d, np.random.default_rng(2), region=regions[9])
     assert np.linalg.norm(word.u) == pytest.approx(1.0, abs=1e-9)
     assert integrate_bp(word.bp_samples) == pytest.approx(2 * math.pi / m, rel=1e-3)

@@ -436,6 +436,13 @@ _BEAM_ROW = TrialRecord(0, 2, 0.02, 1.0, 8.5, 19.0, 1.1, 8.4, 19.2, None, 3, 0.9
     ("step", "10 ", "bad step cell '10 '"),
     ("x_true", "1_000.5", "bad x_true cell '1_000.5'"),
     ("x_true", " 1.5", "bad x_true cell ' 1.5'"),
+    ("step", "+1", "bad step cell '+1'"),
+    ("step", "\u0661", "bad step cell '\u0661'"),
+    ("trial", "01", "bad trial cell '01'"),
+    ("trial", "-0", "bad trial cell '-0'"),
+    ("x_true", "Infinity", "bad x_true cell 'Infinity'"),
+    ("x_true", "1E2", "bad x_true cell '1E2'"),
+    ("x_true", "1.50", "bad x_true cell '1.50'"),
 ])
 def test_results_csv_reader_rejects_a_bad_row_by_line(column, cell, message):
     # the bad row is the third data row, after a blank line: line 5

@@ -24,8 +24,8 @@ After printing, it exits 1 and names the files on stderr when a file under
 workers1/ and the same file under workers2/ differ: the outputs must not
 depend on the worker count.
 
-It needs only the package's own dependencies and takes about half a minute
-on a 2-core x86-64 VM, most of it fitting the gain_m64* scenarios' codebooks.
+It needs only the package's own dependencies and takes about 40 s on a
+2-core x86-64 VM, most of it fitting the gain_m64* scenarios' codebooks.
 """
 
 from __future__ import annotations
