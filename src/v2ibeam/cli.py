@@ -48,7 +48,7 @@ def guarded(fn):
         # LinAlgError subclasses ValueError, so it must be matched first
         except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
             _fail(EXIT_NUMERICAL, "numerical", str(exc))
-        except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, FileNotFoundError) as exc:
             _fail(EXIT_VALIDATION, "validation", str(exc))
 
     return wrapper
@@ -102,7 +102,7 @@ def _read_scenario(ref: str, keys: dict):
     """The scenario of a file path or a bundled name, read by
     scenario_from_dict after each of `keys` that was given a value is
     written into the document: "section.key" names a key of a section."""
-    if not os.path.exists(ref):
+    if not os.path.isfile(ref):
         try:
             ref = bundled_scenario_path(ref)
         except FileNotFoundError:
@@ -133,7 +133,7 @@ def _read_scenario(ref: str, keys: dict):
               help="Override sounding combiner mode.")
 @click.option("--tx-power", type=float, multiple=True,
               help="Transmit power in dBm; repeat for a sweep.")
-@click.option("--codebook", "codebook_path", type=click.Path(exists=True),
+@click.option("--codebook", "codebook_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Pre-built codebook JSON for beam schemes.")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".",
               show_default=True)

@@ -114,8 +114,8 @@ def spatial_to_geo(psi, k: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _off_road_distance(geom: RoadGeometry, y_design: float) -> float:
-    return math.sqrt(y_design**2 + geom.rsu_height_m**2)
+def _off_road_distance(y_design: float, h: float) -> float:
+    return math.sqrt(y_design**2 + h**2)
 
 
 def _divide_half(k: float, rho_ub: float, nu_ub: float, q_prime: int) -> list[tuple[float, float]]:
@@ -146,7 +146,7 @@ def divide_regions(geom: RoadGeometry, y_design: float, num_regions: int) -> lis
         raise ValueError("num_regions must be an even integer >= 2")
     if not math.isclose(-geom.range_lb_m, geom.range_ub_m):
         raise ValueError("region division expects a symmetric road range")
-    k = _off_road_distance(geom, y_design)
+    k = _off_road_distance(y_design, geom.rsu_height_m)
     rho_ub = geom.range_ub_m
     nu_ub = geo_to_spatial(rho_ub, k)
     if nu_ub <= 0:
@@ -175,7 +175,7 @@ def divide_regions(geom: RoadGeometry, y_design: float, num_regions: int) -> lis
 def narrowing_threshold(geom: RoadGeometry, y_design: float, num_regions: int) -> float:
     """Position beyond which equal geographic slices convert to beam-regions
     narrower than the equal split: x* = sqrt(|rho| (|rho| + k Q)) / 2."""
-    k = _off_road_distance(geom, y_design)
+    k = _off_road_distance(y_design, geom.rsu_height_m)
     full = geom.range_ub_m - geom.range_lb_m
     return math.sqrt(full * (full + k * num_regions)) / 2.0
 
@@ -197,7 +197,7 @@ def position_pdf_to_bp(
     """
     if region.nu_ub <= region.nu_lb:
         raise ValueError("empty beam region")
-    k = math.sqrt(y_design**2 + h**2)
+    k = _off_road_distance(y_design, h)
     grid = psi_grid(grid_size)
     delta = 2.0 * math.pi / grid_size
     lo = np.clip(grid - delta / 2.0, region.nu_lb, region.nu_ub)

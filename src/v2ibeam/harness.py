@@ -22,7 +22,6 @@ import math
 import numbers
 import os
 import typing
-from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -150,27 +149,13 @@ class RecordBlock:
     the BEAM_COLUMNS only where has_beam is set; elsewhere the cell is empty.
 
     TrialRecord is the row view: len(block) counts rows, and iteration
-    yields TrialRecords built ROWS_PER_CHUNK rows at a time. from_rows builds
-    a block from rows.
+    yields TrialRecords built ROWS_PER_CHUNK rows at a time. Blocks come from
+    run_trial, concat and records_from_csv.
     """
 
     columns: dict[str, np.ndarray]
     has_alpha: np.ndarray
     has_beam: np.ndarray
-
-    @staticmethod
-    def from_rows(rows: Iterable[TrialRecord]) -> RecordBlock:
-        """The block of these rows; a row whose BEAM_COLUMNS are neither all
-        set nor all None is a ValueError."""
-        rows = list(rows)
-        cells = {name: [getattr(row, name) for row in rows] for name in CSV_COLUMNS}
-        has_beam, *others = ([cell is not None for cell in cells[name]] for name in BEAM_COLUMNS)
-        if any(other != has_beam for other in others):
-            raise ValueError("beam_index, gain_norm and rate_bps_hz must be all set or all None")
-        columns = {name: np.array([0 if cell is None else cell for cell in column], _DTYPES[name])
-                   for name, column in cells.items()}
-        has_alpha = np.array([cell is not None for cell in cells["alpha_hat"]], dtype=bool)
-        return RecordBlock(columns, has_alpha, np.array(has_beam, dtype=bool))
 
     @staticmethod
     def concat(blocks: list[RecordBlock]) -> RecordBlock:
@@ -417,14 +402,22 @@ def summarize(records: RecordBlock, scenario_label: str, horizon: int) -> Metric
 def resolve_codebook(scenario: Scenario, book: Codebook | None = None,
                      workers: int | None = None) -> Codebook | None:
     """book, else the scenario's codebook: loaded, or fitted on `workers`
-    processes. A beam scheme's book must have the scenario's antenna count,
-    and its codewords at most the RF chains the scenario's array has."""
+    processes from a symmetric road range. A beam scheme's book must have the
+    scenario's antenna count, and its codewords at most the RF chains the
+    scenario's array has."""
     if scenario.beam_scheme not in ("codebook", "random"):
         return book
     if book is None:
         if scenario.codebook_path:
+            if os.path.isdir(scenario.codebook_path):
+                raise ValueError(f"scenario key 'codebook_path' = {scenario.codebook_path!r}: "
+                                 "is a directory, not a codebook file")
             book = load_codebook(scenario.codebook_path)
         elif scenario.codebook_codewords:
+            bounds = [scenario.geometry.range_lb_m, scenario.geometry.range_ub_m]
+            if not math.isclose(-bounds[0], bounds[1]):
+                raise ValueError(f"scenario key 'range_m' = {bounds}: a fitted codebook "
+                                 "needs a symmetric road range")
             book = build_codebook(
                 scenario.geometry,
                 scenario.t0.y,
@@ -604,9 +597,10 @@ _positive = _kind("a finite positive number",
                   lambda value: _is_number(value) and value > 0, float)
 _boolean = _kind("true or false", lambda value: isinstance(value, bool))
 _string = _kind("a string", lambda value: isinstance(value, str))
-_integers = _kind("a list of integers",
-                  lambda value: isinstance(value, list) and all(map(_is_integer, value)),
-                  tuple)
+_codewords = _kind("a non-empty list of even integers >= 2",
+                   lambda value: isinstance(value, list) and len(value) > 0
+                   and all(_is_integer(q) and q >= 2 and q % 2 == 0 for q in value),
+                   tuple)
 _angle = _kind("a finite number in [-pi/2, pi/2]",
                lambda value: _is_number(value) and abs(value) <= math.pi / 2, float)
 _range = _kind("a [lower, upper] pair of finite numbers with lower < upper",
@@ -714,7 +708,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         alpha_thres=trk.take("alpha_thres", _positive, 0.03),
         beam_scheme=beam.take("scheme", _string, "none"),
         codebook_path=beam.take("codebook_path", _string, None, nullable=True),
-        codebook_codewords=beam.take("codewords", _integers, None, nullable=True),
+        codebook_codewords=beam.take("codewords", _codewords, None, nullable=True),
     )
     for part in (top, geo, arr, init, mot, fad, trk, beam):
         part.done()

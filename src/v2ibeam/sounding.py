@@ -50,31 +50,26 @@ class Sounding:
 @dataclass(frozen=True, eq=False)
 class SteeringDictionary:
     """Unit-norm steering atoms d_M(psi_g)/sqrt(M) on the uniform grid
-    psi_g = -pi + 2 pi g / G, G = oversampling * M, stored as read-only
-    C-ordered rows, with the sign vector of orthogonal_matching_pursuit."""
+    psi_g = -pi + 2 pi g / G, stored as read-only C-ordered G x M rows, with
+    the sign vector of orthogonal_matching_pursuit. build() gives the G = 4M
+    grid every caller uses; the kernel takes any G >= M."""
 
     atom_rows: np.ndarray  # G x M
     sign: np.ndarray  # (-1)^m, m = 0..M-1
 
-    @property
-    def atoms(self) -> np.ndarray:
-        """The atoms as M x G columns, a view of atom_rows."""
-        return self.atom_rows.T
-
     @staticmethod
-    def build(num_antennas: int, oversampling: int = 4) -> "SteeringDictionary":
-        """The dictionary for (M, oversampling), built once per process and
+    def build(num_antennas: int) -> "SteeringDictionary":
+        """The G = 4M dictionary for M antennas, built once per process and
         shared, so its arrays are read-only."""
-        return _steering_dictionary(num_antennas, oversampling)
+        return _steering_dictionary(num_antennas)
 
 
 @functools.cache
-def _steering_dictionary(num_antennas: int, oversampling: int) -> SteeringDictionary:
-    size = oversampling * num_antennas
+def _steering_dictionary(num_antennas: int) -> SteeringDictionary:
+    size = 4 * num_antennas
     grid = -math.pi + 2.0 * math.pi * np.arange(size) / size
-    m = np.arange(num_antennas)
-    rows = np.exp(1j * m[None, :] * grid[:, None]) / math.sqrt(num_antennas)
-    sign = (-1.0) ** m
+    rows = array_response(num_antennas, grid[:, None]) / math.sqrt(num_antennas)
+    sign = (-1.0) ** np.arange(num_antennas)
     for value in (rows, sign):
         value.setflags(write=False)
     return SteeringDictionary(rows, sign)

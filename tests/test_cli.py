@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import io
 import json
 import math
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from v2ibeam.cli import main
-from v2ibeam.harness import RecordBlock, TrialRecord, records_to_csv
+from v2ibeam.harness import CSV_COLUMNS, TrialRecord
 
 DATA = Path(__file__).parent / "data"
 
@@ -201,6 +203,33 @@ def test_simulate_unknown_scenario_exits_2(runner, tmp_path):
     assert "bundled" in err["message"]
 
 
+@pytest.mark.parametrize("command,message", [
+    (["simulate", "{dir}"], "is neither a file nor a bundled name"),
+    (["track-demo", "--scenario", "{dir}"], "is neither a file nor a bundled name"),
+    (["simulate", "{scen}", "--codebook", "{dir}"], "is a directory"),
+    (["simulate", "{book_scen}"], "scenario key 'codebook_path'"),
+    (["simulate", "{not_json}"], "Expecting"),
+    (["simulate", "{book_scen}", "--codebook", "{not_json}"], "Expecting"),
+], ids=["simulate-dir", "track-demo-dir", "codebook-option-dir", "codebook-key-dir",
+        "scenario-not-json", "codebook-not-json"])
+def test_an_unreadable_input_file_exits_2(runner, tmp_path, command, message):
+    directory = tmp_path / "adir"
+    directory.mkdir()
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{")
+    (tmp_path / "book").mkdir()
+    book_doc = dict(TINY_SCENARIO, beam={"scheme": "codebook", "codebook_path": str(directory)})
+    paths = dict(dir=directory, scen=write_scenario(tmp_path), not_json=not_json,
+                 book_scen=write_scenario(tmp_path / "book", book_doc))
+    out = tmp_path / "out"
+    args = [a.format(**paths) for a in command] + (
+        ["--csv", str(out)] if command[0] == "track-demo" else ["--out-dir", str(out)])
+    r = runner.invoke(main, args, prog_name="v2ibeam")
+    assert r.exit_code == 2, r.output
+    assert message in r.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("tracking", "combiner_mod", "hybrid"),
     (None, "horizonn", 40),
@@ -243,6 +272,9 @@ def test_simulate_unknown_scenario_exits_2(runner, tmp_path):
     ("motion", "sigma_omega", -1),
     ("motion", "steering_angle_rad", 3),
     ("geometry", "range_m", [10, -10]),
+    ("beam", "codewords", [7]),
+    ("beam", "codewords", []),
+    ("beam", "codewords", [4, 0]),
 ])
 def test_simulate_malformed_scenario_exits_2(runner, tmp_path, section, key, value):
     doc = json.loads(json.dumps(TINY_SCENARIO))
@@ -268,6 +300,8 @@ _BOOK_ARGS = ["design-codebook", "--antennas", "8", "--codewords", "4", "--worke
     (_BOOK_ARGS + ["--rsu-height", "nan"], "rsu_height_m"),
     (_BOOK_ARGS + ["--range", "nan", "75"], "range_m"),
     (_BOOK_ARGS + ["--range", "-inf", "inf"], "range_m"),
+    (_BOOK_ARGS + ["--range", "-60", "75"], "range_m"),
+    (_BOOK_ARGS + ["--codewords", "7"], "codewords"),
 ])
 def test_an_option_is_checked_as_the_scenario_key_it_sets(runner, tmp_path, command, key):
     out = tmp_path / "out"
@@ -436,15 +470,24 @@ def test_report_roundtrip(runner, tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
-_STEP_ZERO = records_to_csv(RecordBlock.from_rows([
+def _results_csv(rows) -> str:
+    """The results CSV of these TrialRecords, written by csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(map(dataclasses.astuple, rows))
+    return buf.getvalue()
+
+
+_STEP_ZERO = _results_csv([
     TrialRecord(0, 0, 0.0, -50.0, 8.5, 19.4, -50.1, 8.5, 19.5, None, None, None, None),
     TrialRecord(0, 1, 0.01, -49.8, 8.5, 19.4, -49.9, 8.5, 19.5, None, None, None, None),
-]))
+])
 
 
-_GAIN_WITHOUT_RATE = records_to_csv(RecordBlock.from_rows([
-    TrialRecord(0, 1, 0.01, -49.8, 8.5, 19.4, -49.9, 8.5, 19.5, None, 3, 0.9, 7.2),
-])).replace(",7.2\n", ",\n")
+_GAIN_WITHOUT_RATE = _results_csv([
+    TrialRecord(0, 1, 0.01, -49.8, 8.5, 19.4, -49.9, 8.5, 19.5, None, 3, 0.9, None),
+])
 
 
 @pytest.mark.parametrize("text,message", [
@@ -476,6 +519,20 @@ def test_numerical_failure_exits_3(runner, tmp_path, monkeypatch):
     assert r.exit_code == 3
     err = json.loads(r.stderr.strip().splitlines()[-1])
     assert err["error"] == "numerical"
+
+
+def test_a_programming_error_is_not_reported_as_bad_input(runner, tmp_path, monkeypatch):
+    import v2ibeam.cli as cli_mod
+
+    def broken(*args, **kwargs):
+        raise KeyError("synthetic slip")
+
+    monkeypatch.setattr(cli_mod, "run_experiment", broken)
+    r = runner.invoke(main, ["simulate", write_scenario(tmp_path), "--workers", "1",
+                             "--out-dir", str(tmp_path / "out")], prog_name="v2ibeam")
+    assert r.exit_code != 2
+    assert isinstance(r.exception, KeyError)
+    assert '"validation"' not in r.stderr
 
 
 def test_codebook_pipeline_design_simulate_report(runner, tmp_path):

@@ -321,7 +321,7 @@ def test_fit_recovers_realizable_atom_pattern():
     m = 16
     d = SteeringDictionary.build(m)
     ctx = _PatternContext.get(m, 4096)
-    target_bp = ctx.bp(d.atoms[:, 20])
+    target_bp = ctx.bp(d.atom_rows[20])
     rng = np.random.default_rng(0)
     word = fit_codeword(target_bp, m, 1, d, rng)
     assert _pattern_mse(word, target_bp) <= 1e-6
@@ -330,11 +330,11 @@ def test_fit_recovers_realizable_atom_pattern():
 def test_fit_beats_best_single_steering_column():
     m = 16
     d = SteeringDictionary.build(m)
-    dft = SteeringDictionary.build(m, oversampling=1)
+    dft = d.atom_rows[::4].T  # every fourth atom of the 4M grid is a DFT column
     ctx = _PatternContext.get(m, 4096)
     regions = divide_regions(GEOM, 8.5, 16)
     rng = np.random.default_rng(1)
-    dft_bp = np.abs(_steering(m, 4096).conj().T @ dft.atoms) ** 2 / m
+    dft_bp = np.abs(_steering(m, 4096).conj().T @ dft) ** 2 / m
     for r in (regions[8], regions[12], regions[-1]):
         g = position_pdf_to_bp(r, 8.5, 7.5, m)
         word = fit_codeword(g, m, 4, d, rng, region=r)
@@ -361,10 +361,10 @@ def test_fit_without_iterations_returns_the_better_safeguard(m, n, q, index, win
     def bp(u):
         return np.abs(steering.conj().T @ u) ** 2 / m
 
-    atom_bp = bp(d.atoms).T
+    atom_bp = bp(d.atom_rows.T).T
     atom = int(np.argmin(np.sum((atom_bp - g) ** 2, axis=1)))
     zero_phase = steering @ np.sqrt(m * g) / 4096
-    refs = [hybrid_approximation(t, d, n).z for t in (zero_phase, d.atoms[:, atom])]
+    refs = [hybrid_approximation(t, d, n).z for t in (zero_phase, d.atom_rows[atom])]
     errs = [np.sum((bp(z) - g) ** 2) * delta for z in refs]
     assert int(np.argmin(errs)) == winner
     word = fit_codeword(g, m, n, d, np.random.default_rng(0), iters=0)
@@ -390,7 +390,7 @@ def test_atom_scores_match_the_steering_matrix(m, extra, q, index):
     grid_size = min(m + extra, 4096)
     d = SteeringDictionary.build(m)
     g = _region_target(m, grid_size, q, index)
-    atom_bp = np.abs(_steering(m, grid_size).conj().T @ d.atoms).T ** 2 / m
+    atom_bp = np.abs(_steering(m, grid_size).conj().T @ d.atom_rows.T).T ** 2 / m
     want = np.sum((atom_bp - g) ** 2, axis=1) * (2 * math.pi / grid_size)
     got = _PatternContext.get(m, grid_size).atom_mse(g, d)
     tol = 1e-12 * np.max(want)
@@ -566,7 +566,7 @@ def _word(value):
 # Dataclasses that hold arrays compare and hash by identity, so they can key
 # functools caches and sit in sets; field-wise == would compare the arrays.
 @pytest.mark.parametrize("make", [
-    lambda i: SteeringDictionary.build(8, i + 1),
+    lambda i: SteeringDictionary.build(8 + i),
     lambda i: Combiner(z=np.ones(4)),
     lambda i: Sounding(r=1j, z=np.ones(4), noise_var=0.5),
     lambda i: StateBelief(mean=np.zeros(3), cov=np.eye(3)),

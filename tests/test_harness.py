@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -46,6 +48,20 @@ SMALL_DOC = {
 
 def small_scenario(**overrides):
     return dataclasses.replace(scenario_from_dict(json.loads(json.dumps(SMALL_DOC))), **overrides)
+
+
+def _csv(rows) -> str:
+    """The results CSV of these TrialRecords, written by csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(map(dataclasses.astuple, rows))
+    return buf.getvalue()
+
+
+def _block(rows) -> RecordBlock:
+    """The block of these TrialRecords, read back from their results CSV."""
+    return records_from_csv(_csv(rows))
 
 
 def test_scenario_units_and_defaults():
@@ -235,6 +251,11 @@ def test_scenario_accepts_range_edges(section, key, value):
     ("motion", "steering_angle_rad", -1.6),
     ("geometry", "range_m", [10, -10]),
     ("geometry", "range_m", [10, 10]),
+    # whatever the beam scheme: SMALL_DOC steers DFT beams and fits no codebook
+    ("beam", "codewords", [7]),
+    ("beam", "codewords", []),
+    ("beam", "codewords", [4, 0]),
+    ("beam", "codewords", [-2]),
 ])
 def test_scenario_names_a_key_out_of_range(section, key, value):
     with pytest.raises(ValueError, match=re.escape(f"scenario key {key!r} = {value!r}")):
@@ -353,8 +374,8 @@ def test_trial_reordering_leaves_aggregates():
     # execute "out of order", aggregate in trial order
     rev = [r for t in reversed(per_trial) for r in t]
     rev_sorted = sorted(rev, key=lambda r: (r.trial, r.step))
-    a = summarize(RecordBlock.from_rows(fwd), "s", s.horizon)
-    b = summarize(RecordBlock.from_rows(rev_sorted), "s", s.horizon)
+    a = summarize(_block(fwd), "s", s.horizon)
+    b = summarize(_block(rev_sorted), "s", s.horizon)
     assert a.nmse_x == pytest.approx(b.nmse_x, abs=1e-12)
     assert a.nmse_v == pytest.approx(b.nmse_v, abs=1e-12)
 
@@ -368,7 +389,7 @@ def test_power_sweep_produces_one_result_per_power():
 
 
 def test_summarize_excludes_near_zero_denominators():
-    rows = RecordBlock.from_rows([
+    rows = _block([
         TrialRecord(0, 1, 0.01, 0.1, 8.5, 19.0, 5.0, 8.5, 19.0, None, None, None, None),
         TrialRecord(0, 2, 0.02, 10.0, 8.5, 19.0, 11.0, 8.5, 19.0, None, None, None, None),
     ])
@@ -407,15 +428,29 @@ def _row(beam, **fields) -> TrialRecord:
     beam=st.none() | st.tuples(st.integers(-2**63, 2**63 - 1), _cells, _cells),
 ), max_size=5))
 def test_results_csv_roundtrip_is_byte_identical(records):
-    block = RecordBlock.from_rows(records)
-    text = records_to_csv(block)
-    assert records_to_csv(RecordBlock.from_rows(block)) == text  # through the row view
-    assert records_to_csv(records_from_csv(text)) == text
+    text = _csv(records)
+    block = records_from_csv(text)
+    assert records_to_csv(block) == text
+    assert _csv(block) == text  # through the row view
+
+
+@pytest.mark.parametrize("scheme", ["dft2", "none"])
+def test_results_csv_reader_rebuilds_the_trial_block(scheme):
+    block = run_trial(small_scenario(beam_scheme=scheme), 0)
+    assert block.has_alpha.any() and not block.has_alpha.all()
+    assert block.has_beam.all() == (scheme != "none")
+    read = records_from_csv(records_to_csv(block))
+    assert list(read.columns) == list(block.columns) == list(CSV_COLUMNS)
+    for name, column in block.columns.items():
+        assert read.columns[name].dtype == column.dtype, name
+        assert read.columns[name].tobytes() == column.tobytes(), name
+    assert read.has_alpha.tobytes() == block.has_alpha.tobytes()
+    assert read.has_beam.tobytes() == block.has_beam.tobytes()
 
 
 def test_results_csv_reader_allows_empty_cells_only_in_optional_columns():
     row = TrialRecord(0, 1, 0.01, 1.0, 8.5, 19.0, 1.1, 8.4, 19.2, None, None, None, None)
-    text = records_to_csv(RecordBlock.from_rows([row]))
+    text = _csv([row])
     assert list(records_from_csv(text)) == [row]
     header, line = text.splitlines()
     cells = line.split(",")
@@ -447,17 +482,12 @@ _BEAM_ROW = TrialRecord(0, 2, 0.02, 1.0, 8.5, 19.0, 1.1, 8.4, 19.2, None, 3, 0.9
 def test_results_csv_reader_rejects_a_bad_row_by_line(column, cell, message):
     # the bad row is the third data row, after a blank line: line 5
     good = TrialRecord(0, 1, 0.01, 1.0, 8.5, 19.0, 1.1, 8.4, 19.2, None, 3, 0.8, 7.0)
-    header, *lines = records_to_csv(RecordBlock.from_rows([good, good, _BEAM_ROW])).splitlines()
+    header, *lines = _csv([good, good, _BEAM_ROW]).splitlines()
     cells = lines[2].split(",")
     cells[CSV_COLUMNS.index(column)] = cell
     text = "\n".join([header, lines[0], "", lines[1], ",".join(cells)]) + "\n"
     with pytest.raises(ValueError, match=re.escape(f"line 5: {message}")):
         records_from_csv(text)
-
-
-def test_from_rows_rejects_a_partial_beam_row():
-    with pytest.raises(ValueError, match="all set or all None"):
-        RecordBlock.from_rows([dataclasses.replace(_BEAM_ROW, rate_bps_hz=None)])
 
 
 def test_record_block_row_view(monkeypatch):
@@ -466,7 +496,6 @@ def test_record_block_row_view(monkeypatch):
     rows = list(block)
     assert len(block) == len(rows) == 14
     assert [(r.trial, r.step) for r in rows] == [(t, k) for t in range(2) for k in range(1, 8)]
-    assert list(RecordBlock.from_rows(rows)) == rows
     text = records_to_csv(block)
     # chunk boundaries change neither the rows nor the bytes
     monkeypatch.setattr(harness, "ROWS_PER_CHUNK", 3)
@@ -545,7 +574,7 @@ _metric = st.floats(0.0, 1e3) | st.just(math.nan)
     beam=st.none() | st.tuples(st.integers(1, 64), _metric, _metric),
 ), max_size=60))
 def test_summarize_matches_the_per_record_loop_bit_for_bit(rows):
-    got = summarize(RecordBlock.from_rows(rows), "p", _HORIZON)
+    got = summarize(_block(rows), "p", _HORIZON)
     want = _summarize_per_record(rows, "p", _HORIZON)
     for name in (f.name for f in dataclasses.fields(harness.MetricSummary)):
         assert _same(getattr(got, name), getattr(want, name)), name
@@ -553,7 +582,9 @@ def test_summarize_matches_the_per_record_loop_bit_for_bit(rows):
 
 @pytest.mark.parametrize("step", [0, 3])
 def test_summarize_rejects_a_step_outside_the_horizon(step):
-    rows = RecordBlock.from_rows([dataclasses.replace(_BEAM_ROW, step=step)])
+    block = _block([_BEAM_ROW])
+    rows = RecordBlock(dict(block.columns, step=np.array([step])), block.has_alpha,
+                       block.has_beam)
     with pytest.raises(ValueError, match=r"1\.\.2"):
         summarize(rows, "t", 2)
 
@@ -588,6 +619,17 @@ def test_manifold_baseline_configuration_equivalence():
     records = run_trial(s, 0)
     assert all(np.isfinite(r.x_hat) for r in records)
     assert all(r.alpha_hat is None for r in records)
+
+
+def test_fitted_codebook_needs_a_symmetric_range(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a codebook fit was started")
+
+    monkeypatch.setattr(harness, "build_codebook", no_fit)
+    doc = dict(SMALL_DOC, beam={"scheme": "codebook", "codewords": [4]},
+               geometry=dict(SMALL_DOC["geometry"], range_m=[-60.0, 75.0]))
+    with pytest.raises(ValueError, match=re.escape("scenario key 'range_m' = [-60.0, 75.0]")):
+        harness.resolve_codebook(scenario_from_dict(doc))
 
 
 def test_random_scheme_requires_codebook():

@@ -17,6 +17,14 @@ from v2ibeam.sounding import (
 )
 
 
+def _dictionary(m, size):
+    """Steering atoms on a grid of G = size points, for the G other than the 4M
+    that SteeringDictionary.build gives."""
+    grid = -math.pi + 2.0 * math.pi * np.arange(size) / size
+    return SteeringDictionary(array_response(m, grid[:, None]) / math.sqrt(m),
+                              (-1.0) ** np.arange(m))
+
+
 def random_problem(rng, m=16):
     """Random rank-one Jacobian problem like the tracking loop produces:
     the factors h_dot, grad of D = h_dot grad^T, a prior covariance and an SNR."""
@@ -92,8 +100,8 @@ def test_optimal_combiner_high_snr_limit_stabilizes():
 
 
 def test_hybrid_recovers_dictionary_atom():
-    d = SteeringDictionary.build(16, oversampling=4)
-    target = d.atoms[:, 11].copy()
+    d = SteeringDictionary.build(16)
+    target = d.atom_rows[11].copy()
     hyb = hybrid_approximation(target, d, 1)
     assert hyb.correlation == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_allclose(
@@ -105,7 +113,7 @@ def test_hybrid_full_rank_recovery():
     # orthogonal (critically sampled) dictionary with N = M spans C^M
     rng = np.random.default_rng(5)
     m = 8
-    d = SteeringDictionary.build(m, oversampling=1)
+    d = _dictionary(m, m)
     for _ in range(10):
         target = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         target /= np.linalg.norm(target)
@@ -116,7 +124,7 @@ def test_hybrid_full_rank_recovery():
 def test_hybrid_correlation_nondecreasing_in_chains():
     rng = np.random.default_rng(6)
     m = 32
-    d = SteeringDictionary.build(m, oversampling=4)
+    d = SteeringDictionary.build(m)
     target = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     target /= np.linalg.norm(target)
     corr = [hybrid_approximation(target, d, n).correlation for n in (1, 2, 4, 8, 16)]
@@ -133,23 +141,24 @@ def test_hybrid_rejects_bad_chain_count():
 
 
 def test_dictionary_atoms_equal_gain():
-    d = SteeringDictionary.build(24, oversampling=4)
-    np.testing.assert_allclose(np.abs(d.atoms), 1.0 / math.sqrt(24))
-    np.testing.assert_allclose(np.linalg.norm(d.atoms, axis=0), 1.0)
-    assert d.atoms.shape == (24, 96)
+    d = SteeringDictionary.build(24)
+    np.testing.assert_allclose(np.abs(d.atom_rows), 1.0 / math.sqrt(24))
+    np.testing.assert_allclose(np.linalg.norm(d.atom_rows, axis=1), 1.0)
+    assert d.atom_rows.shape == (96, 24)
+    # the atoms are the array responses on the grid psi_g = -pi + 2 pi g / 4M
+    np.testing.assert_array_equal(d.atom_rows[40], array_response(24, -math.pi + math.pi * 40 / 48)
+                                  / math.sqrt(24))
 
 
 def test_dictionary_built_once_and_read_only():
     d = SteeringDictionary.build(24)
-    assert SteeringDictionary.build(24, oversampling=4) is d
-    assert SteeringDictionary.build(24, 4) is d
-    assert SteeringDictionary.build(24, oversampling=2) is not d
-    assert not d.atoms.flags.writeable
+    assert SteeringDictionary.build(24) is d
+    assert SteeringDictionary.build(12) is not d
+    assert not d.atom_rows.flags.writeable
     with pytest.raises(ValueError):
-        d.atoms[0, 0] = 0.0
+        d.atom_rows[0, 0] = 0.0
     # the kernel's constants: atoms as C-ordered rows and the (-1)^m signs
-    assert np.array_equal(d.atom_rows, d.atoms.T) and d.atom_rows.flags.c_contiguous
-    assert np.shares_memory(d.atom_rows, d.atoms)  # one copy of the atoms
+    assert d.atom_rows.flags.c_contiguous
     assert np.array_equal(d.sign, np.where(np.arange(24) % 2, -1.0, 1.0))
     assert not d.atom_rows.flags.writeable and not d.sign.flags.writeable
 
@@ -161,7 +170,7 @@ def test_hybrid_analog_columns_equal_gain():
     target = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     target /= np.linalg.norm(target)
     hyb = hybrid_approximation(target, d, 4)
-    analog = d.atoms[:, orthogonal_matching_pursuit(target[None, :], d, 4)[1][0]]
+    analog = d.atom_rows[orthogonal_matching_pursuit(target[None, :], d, 4)[1][0]].T
     np.testing.assert_allclose(np.abs(analog), 1.0 / math.sqrt(m))
     digital = np.linalg.lstsq(analog, hyb.z, rcond=None)[0]  # z in span(analog)
     np.testing.assert_allclose(analog @ digital, hyb.z, atol=1e-12)
@@ -263,7 +272,7 @@ def dense_omp(target, atoms, num_rf_chains):
 )
 def test_omp_kernel_matches_dense_reference(m, data, oversampling, kinds, seed):
     n = data.draw(st.integers(1, min(8, m)), label="num_rf_chains")
-    d = SteeringDictionary.build(m, oversampling)
+    d = SteeringDictionary.build(m) if oversampling == 4 else _dictionary(m, oversampling * m)
     rng = np.random.default_rng(seed)
     targets = rng.standard_normal((len(kinds), m)) + 1j * rng.standard_normal((len(kinds), m))
     for b, kind in enumerate(kinds):
@@ -271,10 +280,10 @@ def test_omp_kernel_matches_dense_reference(m, data, oversampling, kinds, seed):
             targets[b] = 0.0
         elif kind == "atom":
             gain = complex(*rng.standard_normal(2))
-            targets[b] = gain * d.atoms[:, rng.integers(d.atoms.shape[1])]
+            targets[b] = gain * d.atom_rows[rng.integers(d.atom_rows.shape[0])]
     z, chosen = orthogonal_matching_pursuit(targets, d, n)
     for b, target in enumerate(targets):
-        z_ref, chosen_ref, gaps = dense_omp(target, d.atoms, n)
+        z_ref, chosen_ref, gaps = dense_omp(target, d.atom_rows.T, n)
         scale = np.linalg.norm(target)
         # compare picks while the reference's choice is clear; once the residual
         # is rounding noise (an atom target) the order of later picks is arbitrary

@@ -10,6 +10,9 @@ Runs, in a temporary directory:
   - with `--workers 1` and 2, into workers<N>/overrides/, one `simulate` run
     whose options replace its scenario's seed, power sweep, tracker and
     combiner, and one `design-codebook` run at a non-default road geometry;
+  - with `--workers 1` and 2, into workers<N>/report/, `v2ibeam report --out
+    --svg` on the gain_m64_dft2 results CSV, so that the reader's beam
+    columns are covered too;
   - `v2ibeam track-demo --scenario <name>` for the two demo scenarios, once
     with `--csv` and once printing its table (saved as `<name>.stdout`);
   - `v2ibeam report --out --svg` on each track-demo CSV;
@@ -47,6 +50,7 @@ BOOKS = {
                   "--codewords", "16", "--seed", "3"],
 }
 DEMOS = ("track_demo", "track_demo_hybrid")
+REPORTED = "gain_m64_dft2"  # a beam scheme, so its results CSV fills the beam columns
 OVERRIDES = [
     ["simulate", "nmse_m96_baseline", "--trials", "2", "--horizon", "40", "--seed", "11",
      "--tx-power", "5", "--tx-power", "15", "--tracker", "proposed", "--combiner", "hybrid",
@@ -89,6 +93,10 @@ def main() -> None:
             for command in OVERRIDES:
                 run_cli(args.src, [arg.format(out=os.path.join(out, "overrides"))
                                    for arg in command] + ["--workers", str(workers)])
+            report = os.path.join(out, "report", REPORTED)
+            os.makedirs(os.path.dirname(report))
+            run_cli(args.src, ["report", os.path.join(out, f"{REPORTED}_results.csv"),
+                               "--out", f"{report}_summary.csv", "--svg", f"{report}_summary.svg"])
         out = os.path.join(tmp, "demo")
         os.makedirs(out)
         for name in DEMOS:
