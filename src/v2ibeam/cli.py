@@ -54,6 +54,16 @@ def guarded(fn):
     return wrapper
 
 
+def _check_out_dir(option: str, path: str | None) -> None:
+    """Reject an output path whose directory does not exist before any work
+    is done, naming the option that gave it."""
+    if path is None:
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"{option} {path!r}: {parent!r} is not an existing directory")
+
+
 @click.group()
 def main():
     """Vehicle tracking and road-aware beamforming simulator for mmWave V2I."""
@@ -80,6 +90,7 @@ def main():
 def design_codebook(antennas, rf_chains, codewords, lane_offset, rsu_height,
                     range_m, seed, out, workers):
     """Design a road-aware beamforming codebook and write it as JSON."""
+    _check_out_dir("--out", out)
     scenario = scenario_from_dict({
         "geometry": {"rsu_height_m": rsu_height, "lane_offset_m": lane_offset,
                      "range_m": list(range_m)},
@@ -206,6 +217,7 @@ def track_demo(scenario_ref, steps, seed, every, csv_path):
     """Trace one tracking trial: true vs estimated state per sounding step."""
     if every < 1:
         raise ValueError(f"--every must be >= 1, got {every}")
+    _check_out_dir("--csv", csv_path)
     scenario = _read_scenario(scenario_ref, {"seed": seed, "horizon": steps})
     records = run_trial(scenario, 0)
     if csv_path:
@@ -235,6 +247,8 @@ def track_demo(scenario_ref, steps, seed, every, csv_path):
 @guarded
 def report(results_csv, label, out, svg_path):
     """Summarize a results CSV into metric rows (and an optional chart)."""
+    _check_out_dir("--out", out)
+    _check_out_dir("--svg", svg_path)
     with open(results_csv, newline="", encoding="utf-8") as fh:
         records = records_from_csv(fh.read())
     if not records:

@@ -114,7 +114,9 @@ def orthogonal_matching_pursuit(
 
     Returns the unit-norm fits z = (t - r)/||t - r|| as a (B, M) block and the
     (B, N) chosen atom indices in pick order. A zero row has z equal to its
-    first chosen atom.
+    first chosen atom. Codeword fitting calls it on blocks of starts; the
+    per-step hybrid combiner runs the same operations on one row instead
+    (_pursue_one), which must keep this kernel's bits.
     """
     rows, m = targets.shape
     if num_rf_chains < 1:
@@ -149,14 +151,58 @@ def orthogonal_matching_pursuit(
     return fit / norm[:, None], chosen
 
 
+def _pursue_one(
+    target: np.ndarray, dictionary: SteeringDictionary, num_rf_chains: int
+) -> np.ndarray:
+    """orthogonal_matching_pursuit of one length-M target, returning only z.
+
+    The same operations in the same order on 1-D arrays, so z is bit for bit
+    the block kernel's row; it skips the kernel's per-row bookkeeping (row
+    masks, axis-1 argmax, fancy takes, 3-D matmul), which costs more than the
+    FFTs at B = 1.
+    """
+    m = target.shape[0]
+    if num_rf_chains < 1:
+        raise ValueError("num_rf_chains must be >= 1")
+    if num_rf_chains > m:
+        raise ValueError("num_rf_chains cannot exceed the antenna count")
+    atom_rows, sign = dictionary.atom_rows, dictionary.sign
+    size = atom_rows.shape[0]
+    residual = target.astype(complex)
+    basis = np.empty((num_rf_chains, m), dtype=complex)
+    chosen: list[int] = []
+    for k in range(num_rf_chains):
+        corr = np.abs(np.fft.fft(residual * sign, n=size))
+        for pick in chosen:
+            corr[pick] = -1.0
+        chosen.append(int(corr.argmax()))
+        q = atom_rows[chosen[k]].copy()
+        if k:
+            kept = basis[:k]
+            for _ in range(2):
+                q -= np.vecdot(kept, q) @ kept
+        q /= math.sqrt(np.vecdot(q, q).real)
+        basis[k] = q
+        residual -= np.vecdot(q, residual) * q
+    fit = target - residual
+    norm = math.sqrt(np.vecdot(fit, fit).real)
+    if norm == 0.0:
+        fit, norm = atom_rows[chosen[0]], 1.0
+    return fit / norm
+
+
 def hybrid_approximation(
     target: np.ndarray, dictionary: SteeringDictionary, num_rf_chains: int
 ) -> Combiner:
-    """Hybrid combiner closest to one target: the B=1 call of
-    orthogonal_matching_pursuit. Its z lies in the span of the N chosen atoms,
-    the analog columns, each of per-entry modulus 1/sqrt(M)."""
-    z = orthogonal_matching_pursuit(target[None, :], dictionary, num_rf_chains)[0][0]
-    corr_val = float(abs(np.vdot(target, z)) / max(np.linalg.norm(target), 1e-300))
+    """Hybrid combiner closest to one target: orthogonal matching pursuit of
+    the target onto N atoms, through a one-row path whose z equals the block
+    kernel's row bit for bit (tests/test_sounding.py pins it). Its z lies in
+    the span of the N chosen atoms, the analog columns, each of per-entry
+    modulus 1/sqrt(M). correlation is |t^H z| / ||t||."""
+    z = _pursue_one(target, dictionary, num_rf_chains)
+    # the sum np.linalg.norm evaluates for a vector, without its dispatch
+    norm = math.sqrt(target.real @ target.real + target.imag @ target.imag)
+    corr_val = float(abs(np.vdot(target, z)) / max(norm, 1e-300))
     return Combiner(z=z, correlation=corr_val)
 
 

@@ -504,6 +504,36 @@ def test_report_rejects_malformed_csv(runner, tmp_path, text, message):
     assert message in err["message"]
 
 
+@pytest.mark.parametrize("command,option,work", [
+    (["design-codebook", "--antennas", "8", "--codewords", "4", "--out", "{parent}/x.json"],
+     "--out", "resolve_codebook"),
+    (["track-demo", "--steps", "4", "--csv", "{parent}/x.csv"], "--csv", "run_trial"),
+    (["report", "{results}", "--out", "{parent}/x.csv"], "--out", "records_from_csv"),
+    (["report", "{results}", "--svg", "{parent}/x.svg"], "--svg", "records_from_csv"),
+], ids=["design-codebook-out", "track-demo-csv", "report-out", "report-svg"])
+@pytest.mark.parametrize("parent", ["nodir", "afile"])
+def test_an_output_outside_an_existing_directory_exits_2_before_the_work(
+        runner, tmp_path, monkeypatch, command, option, work, parent):
+    import v2ibeam.cli as cli_mod
+
+    calls = []
+    real = getattr(cli_mod, work)
+    monkeypatch.setattr(cli_mod, work, lambda *a, **k: calls.append(a) or real(*a, **k))
+    results = tmp_path / "results.csv"
+    results.write_text(_results_csv([
+        TrialRecord(0, 1, 0.01, -49.8, 8.5, 19.4, -49.9, 8.5, 19.5, None, None, None, None),
+    ]))
+    (tmp_path / "afile").write_text("")
+    args = [a.format(parent=tmp_path / parent, results=results) for a in command]
+    r = runner.invoke(main, args, prog_name="v2ibeam")
+    assert r.exit_code == 2, r.output
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert err["error"] == "validation"
+    assert err["message"].startswith(option + " ")
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "results.csv"]
+
+
 def test_numerical_failure_exits_3(runner, tmp_path, monkeypatch):
     import numpy as np
 

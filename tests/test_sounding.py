@@ -267,7 +267,8 @@ def dense_omp(target, atoms, num_rf_chains):
     m=st.integers(1, 128),
     data=st.data(),
     oversampling=st.sampled_from([1, 2, 4]),
-    kinds=st.lists(st.sampled_from(["random", "random", "zero", "atom"]), min_size=1, max_size=8),
+    kinds=st.lists(st.sampled_from(["random", "random", "zero", "atom", "ramp", "real"]),
+                   min_size=1, max_size=8),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_omp_kernel_matches_dense_reference(m, data, oversampling, kinds, seed):
@@ -281,8 +282,14 @@ def test_omp_kernel_matches_dense_reference(m, data, oversampling, kinds, seed):
         elif kind == "atom":
             gain = complex(*rng.standard_normal(2))
             targets[b] = gain * d.atom_rows[rng.integers(d.atom_rows.shape[0])]
+        elif kind == "ramp":  # the tracker's target h_dot/||h_dot|| (zero at M = 1)
+            beta = complex(*rng.standard_normal(2))
+            h_dot = 1j * np.arange(m) * channel_vector(beta, rng.uniform(-math.pi, math.pi), m)
+            targets[b] = h_dot / (np.linalg.norm(h_dot) or 1.0)
+        elif kind == "real":
+            targets[b] = rng.standard_normal(m)
     z, chosen = orthogonal_matching_pursuit(targets, d, n)
-    for b, target in enumerate(targets):
+    for b, (target, kind) in enumerate(zip(targets, kinds)):
         z_ref, chosen_ref, gaps = dense_omp(target, d.atom_rows.T, n)
         scale = np.linalg.norm(target)
         # compare picks while the reference's choice is clear; once the residual
@@ -291,8 +298,18 @@ def test_omp_kernel_matches_dense_reference(m, data, oversampling, kinds, seed):
             if scale and gap <= 1e-9 * scale:
                 break
             assert chosen[b, k] == chosen_ref[k]
-        assert 1.0 - abs(np.vdot(z[b], z_ref)) <= 1e-12
+        if kind == "real":  # |fft| of a real target ties each atom with its mirror,
+            # and the mirrored fit is the conjugate one, as close to the target
+            assert abs(np.vdot(target, z[b])) == pytest.approx(
+                abs(np.vdot(target, z_ref)), abs=1e-12 * scale)
+        else:
+            assert 1.0 - abs(np.vdot(z[b], z_ref)) <= 1e-12
         assert np.linalg.norm(z[b]) == pytest.approx(1.0, abs=1e-12)
         z_one, chosen_one = orthogonal_matching_pursuit(target[None, :], d, n)
         np.testing.assert_array_equal(z_one[0], z[b])
         np.testing.assert_array_equal(chosen_one[0], chosen[b])
+        # the per-step combiner's one-row path keeps the block row's bits
+        t = target.real.copy() if kind == "real" else target
+        hyb = hybrid_approximation(t, d, n)
+        np.testing.assert_array_equal(hyb.z, z[b])
+        assert hyb.correlation == abs(np.vdot(t, z[b])) / max(np.linalg.norm(t), 1e-300)
