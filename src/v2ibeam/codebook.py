@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_channel import RoadGeometry
+from .inputs import _decimal, _is_integer, _kind, _list, _positive_integer, _Section
 from .sounding import SteeringDictionary, orthogonal_matching_pursuit
 
 DEFAULT_GRID = 4096
@@ -34,8 +35,6 @@ GS_ITERS = 50
 GS_INITS = 8
 _GS_TOL = 1e-9  # the fit stops once no OMP output entry moves this much
 _TILE_EPS = 1e-12
-_BOOK_KEYS = ("M", "N", "Q", "y_design", "h", "L", "resolutions", "regions", "codewords")
-_REGION_KEYS = ("nu_lb", "nu_ub", "rho_lb", "rho_ub")
 
 
 @dataclass(frozen=True)
@@ -541,78 +540,45 @@ def save_codebook(book: Codebook, path: str) -> None:
 
 
 def load_codebook(path: str) -> Codebook:
-    """Read a codebook that save_codebook wrote. A missing field, an unknown
-    key, a field of the wrong type or shape, a number that is not finite, an
-    N outside 1..M and counts that disagree are ValueErrors that name the
-    field."""
+    """Read a codebook that save_codebook wrote, by the rules of inputs (a number
+    may also be its repr() string). A bad or unknown field, an N outside 1..M or
+    counts that disagree raise a ValueError that names the field."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-
-    def check(ok, field: str, problem: str) -> None:
-        if not ok:
-            raise ValueError(f"codebook {path}: {field} {problem}")
-
-    def integer(key: str, low: int, high: int | None = None, default=None) -> int:
-        value = doc.get(key, default)
-        bound = f">= {low}" if high is None else f"in {low}..{high}"
-        check(isinstance(value, int) and not isinstance(value, bool) and low <= value
-              and (high is None or value <= high), repr(key),
-              f"must be an integer {bound}, got {value!r}")
-        return value
-
-    def finite(read, field: str, what: str = "a finite number or decimal string") -> np.ndarray:
-        """The floats read() parses from numbers or decimal strings."""
-        try:
-            values = np.array(read())
-        except (KeyError, TypeError, ValueError, OverflowError):
-            values = None
-        check(values is not None and np.isfinite(values).all(), field,
-              f"must be {what}")
-        return values
-
-    def listed(value, field: str) -> list:
-        if not isinstance(value, list):  # format the value only on failure: a codeword is long
-            raise ValueError(f"codebook {path}: {field} must be a list, got {value!r}")
-        return value
-
-    def known(obj: dict, keys: tuple[str, ...], field: str) -> None:
-        unknown = sorted(set(obj) - set(keys))
-        check(not unknown, field, f"has unknown keys {unknown}")
-
-    check(isinstance(doc, dict), "document", "must be an object")
-    known(doc, _BOOK_KEYS, "document")
-    m = integer("M", 1)
-    n = integer("N", 1, m)
-    q = integer("Q", 1)
-    grid_size = integer("L", 1, default=DEFAULT_GRID)  # _PatternContext checks L >= M
-    y_design = float(finite(lambda: float(doc["y_design"]), "'y_design'"))
-    rsu_height = float(finite(lambda: float(doc["h"]), "'h'"))
-    resolutions = tuple(listed(doc.get("resolutions"), "'resolutions'"))
-    check(all(isinstance(count, int) and not isinstance(count, bool) and count > 0
-              for count in resolutions), "'resolutions'", "must be positive integers")
-    regions = listed(doc.get("regions"), "'regions'")
-    vecs = listed(doc.get("codewords"), "'codewords'")
+    name = f"codebook {path}"
+    top = _Section(doc, name, "top level")
+    m = top.take("M", _positive_integer)
+    n = top.take("N", _kind(f"an integer in 1..{m}", lambda value: _is_integer(value)
+                            and 1 <= value <= m))
+    q = top.take("Q", _positive_integer)
+    grid_size = top.take("L", _positive_integer, DEFAULT_GRID)  # _PatternContext checks L >= M
+    y_design = top.take("y_design", _decimal)
+    rsu_height = top.take("h", _decimal)
+    resolutions = top.take("resolutions", _kind(
+        "a list of positive integers", lambda value: isinstance(value, list)
+        and all(_is_integer(c) and c > 0 for c in value), tuple))
+    regions = top.take("regions", _list)
+    vecs = top.take("codewords", _list)
+    top.done()
     for key, count in [("regions", len(regions)), ("codewords", len(vecs)),
                        ("resolutions", sum(resolutions))]:
         if count != q:
-            raise ValueError(f"codebook {path}: {key!r} counts {count} codewords, 'Q' is {q}")
+            raise ValueError(f"{name}: {key!r} counts {count} codewords, 'Q' is {q}")
     ctx = _PatternContext.get(m, grid_size)
     words = []
     for index, (reg, vec) in enumerate(zip(regions, vecs)):
-        check(len(listed(vec, f"'codewords'[{index}]")) == m, f"'codewords'[{index}]",
-              f"has {len(vec)} entries, 'M' is {m}")
-        u = finite(lambda: [float(re) + 1j * float(im) for re, im in vec], f"'codewords'[{index}]",
-                   "a list of [re, im] pairs of finite numbers or decimal strings")
-        bounds = finite(lambda: [float(reg[k]) for k in _REGION_KEYS],
-                        f"'regions'[{index}]", "an object of finite nu_lb, nu_ub, rho_lb, rho_ub")
-        known(reg, _REGION_KEYS, f"'regions'[{index}]")
-        words.append(Codeword(u=u, region=BeamRegion(*bounds.tolist()), bp_samples=ctx.bp(u)))
-    return Codebook(
-        num_antennas=m,
-        num_rf_chains=n,
-        y_design=y_design,
-        rsu_height=rsu_height,
-        resolutions=resolutions,
-        codewords=tuple(words),
-        grid_size=grid_size,
-    )
+        try:  # the message leaves the vector out
+            if not (isinstance(vec, list) and len(vec) == m
+                    and all(isinstance(pair, list) and len(pair) == 2 for pair in vec)):
+                raise TypeError
+            u = np.array([_decimal(re) + 1j * _decimal(im) for re, im in vec])
+        except TypeError:
+            raise ValueError(f"{name} 'codewords'[{index}] must be a list of {m} [re, im] "
+                             "pairs of finite numbers or their repr() strings") from None
+        region = _Section(reg, f"{name} 'regions'[{index}]", "entry")
+        bounds = BeamRegion(*(region.take(key, _decimal)
+                              for key in ("nu_lb", "nu_ub", "rho_lb", "rho_ub")))
+        region.done()
+        words.append(Codeword(u=u, region=bounds, bp_samples=ctx.bp(u)))
+    return Codebook(num_antennas=m, num_rf_chains=n, y_design=y_design, rsu_height=rsu_height,
+                    resolutions=resolutions, codewords=tuple(words), grid_size=grid_size)

@@ -19,7 +19,6 @@ import functools
 import io
 import json
 import math
-import numbers
 import os
 import typing
 from dataclasses import dataclass, field, replace
@@ -37,6 +36,9 @@ from .array_channel import (
 )
 from .codebook import Codebook, build_codebook, load_codebook, parallel_map, resolve_workers
 from .ekf import StateBelief, Tracker, TrackStep, g_of_state, init_belief, predict
+from .inputs import (_angle, _boolean, _codewords, _count, _decibels, _from_repr, _integer,
+                     _is_integer, _nonnegative, _number, _positive, _powers, _range, _Section,
+                     _string)
 from .motion import MotionModel, StateVector, step_truth
 from .units import carrier_to_wavelength, dbm_to_mw, kmh_to_ms
 
@@ -46,10 +48,6 @@ TRACKERS = ("proposed", "manifold-baseline", "feedback")
 COMBINER_MODES = ("optimal", "hybrid")
 BEAM_SCHEMES = ("none", "codebook", "dft1", "dft2", "random")
 NMSE_DENOM_FLOOR = 0.5  # meters / m-per-s; excludes near-zero crossings
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -498,9 +496,9 @@ def records_from_csv(text: str) -> RecordBlock:
 
     Empty cells are accepted only in the optional columns, and a row's
     BEAM_COLUMNS must be all set or all empty; an integer cell must fit in
-    int64 and a step counts from 1. A cell must be spelt as csv.writer spells
-    its value (so not '+1', '01', '1E2' or 'Infinity', which int() and float()
-    would take); any other bad cell is a ValueError that names its line."""
+    int64 and a step counts from 1. A cell must be spelt as repr() and so
+    csv.writer spell its value (see inputs); any other bad cell is a
+    ValueError that names its line."""
     reader = csv.DictReader(io.StringIO(text))
     missing = set(CSV_COLUMNS) - set(reader.fieldnames or ())
     if missing:
@@ -516,9 +514,7 @@ def records_from_csv(text: str) -> RecordBlock:
                     columns[name].append(0)
                     continue
             try:
-                value = parse(cell)
-                if str(value) != cell:
-                    raise ValueError("not a cell records_to_csv writes")
+                value = _from_repr(parse, cell)
                 if name == "step" and value < 1:
                     raise ValueError("steps count from 1")
                 columns[name].append(value)  # OverflowError outside int64
@@ -553,101 +549,13 @@ def summaries_to_csv(summaries: list[MetricSummary]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Scenario (de)serialization. The JSON uses field units (km/h, dBm, GHz, ms);
-# everything becomes SI / linear at load time. Every number must be finite,
-# except that the fading K-factor may also be Infinity or -Infinity.
+# Scenario (de)serialization, by the rules of inputs. The JSON uses field units
+# (km/h, dBm, GHz, ms); everything becomes SI / linear at load time.
 # ---------------------------------------------------------------------------
-
-_ABSENT = object()
-
-
-def _is_number(value) -> bool:
-    """A real number, not a bool, that is finite as a float."""
-    try:
-        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                and math.isfinite(value))
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _is_numbers(value) -> bool:
-    return isinstance(value, list) and all(map(_is_number, value))
-
-
-def _kind(what: str, accepts, convert=lambda value: value):
-    """A kind of scenario value: convert(value) for a value it accepts, else a
-    TypeError that says what the key takes."""
-
-    def read(value):
-        if not accepts(value):
-            raise TypeError(f"must be {what}")
-        return convert(value)
-
-    return read
-
-
-_integer = _kind("an integer", _is_integer, int)
-_count = _kind("a non-negative integer", lambda value: _is_integer(value) and value >= 0, int)
-_number = _kind("a finite number", _is_number, float)
-_decibels = _kind("a finite number, Infinity or -Infinity",
-                  lambda value: _is_number(value) or value in (math.inf, -math.inf), float)
-_nonnegative = _kind("a finite non-negative number",
-                     lambda value: _is_number(value) and value >= 0, float)
-_positive = _kind("a finite positive number",
-                  lambda value: _is_number(value) and value > 0, float)
-_boolean = _kind("true or false", lambda value: isinstance(value, bool))
-_string = _kind("a string", lambda value: isinstance(value, str))
-_codewords = _kind("a non-empty list of even integers >= 2",
-                   lambda value: isinstance(value, list) and len(value) > 0
-                   and all(_is_integer(q) and q >= 2 and q % 2 == 0 for q in value),
-                   tuple)
-_angle = _kind("a finite number in [-pi/2, pi/2]",
-               lambda value: _is_number(value) and abs(value) <= math.pi / 2, float)
-_range = _kind("a [lower, upper] pair of finite numbers with lower < upper",
-               lambda value: _is_numbers(value) and len(value) == 2 and value[0] < value[1],
-               lambda value: tuple(map(float, value)))
-_powers = _kind("a finite number or a non-empty list of finite numbers",
-                lambda value: _is_number(value) or (_is_numbers(value) and len(value) > 0),
-                lambda value: tuple(map(float, value if isinstance(value, list) else [value])))
-
-
-class _Section:
-    """One object of a scenario document, consumed key by key: take() pops a
-    key, and done() rejects every key no take() asked for, so a misspelt key
-    fails instead of falling back to its default."""
-
-    def __init__(self, part, where: str):
-        if not isinstance(part, dict):
-            raise ValueError(f"scenario {where} must be an object")
-        self.left = dict(part)
-        self.where = where
-
-    def take(self, key: str, kind, default=_ABSENT, nullable: bool = False):
-        """kind(value) of the key; default when the key is absent, or null and
-        nullable. A value kind rejects is a ValueError that names the key."""
-        value = self.left.pop(key, _ABSENT)
-        if value is _ABSENT or (nullable and value is None):
-            if default is _ABSENT:
-                raise ValueError(f"scenario key {key!r} is required")
-            return default
-        try:
-            return kind(value)
-        except TypeError as exc:
-            raise ValueError(f"scenario key {key!r} = {value!r}: {exc}") from None
-
-    def section(self, key: str, required: bool = False) -> _Section:
-        part = self.take(key, lambda value: value, _ABSENT if required else {})
-        return _Section(part, f"section {key!r}")
-
-    def done(self) -> None:
-        if self.left:
-            raise ValueError(
-                f"unknown scenario keys at {self.where}: {', '.join(sorted(self.left))}"
-            )
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    top = _Section(doc, "top level")
+    top = _Section(doc, "scenario", "top level")
     geo = top.section("geometry", required=True)
     range_lb_m, range_ub_m = geo.take("range_m", _range, (-75.0, 75.0))
     geometry = RoadGeometry(

@@ -601,6 +601,31 @@ def test_simulate_rejects_codebook_missing_a_region(runner, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_rejects_codebook_height_no_reader_would_take(runner, tmp_path, monkeypatch):
+    # float("7_5") is 75.0, but 7_5 is no spelling save_codebook writes
+    import v2ibeam.harness as harness_mod
+
+    book = tmp_path / "book8.json"
+    r = invoke(runner, ["design-codebook", "--antennas", "8", "--rf-chains", "2",
+                        "--codewords", "4", "--seed", "1",
+                        "--out", str(book), "--workers", "1"])
+    assert r.exit_code == 0, r.output
+    doc = json.loads(book.read_text())
+    doc["h"] = "7_5"
+    book.write_text(json.dumps(doc))
+    trials = []
+    monkeypatch.setattr(harness_mod, "run_trial", lambda *args, **kwargs: trials.append(args))
+    scen = write_scenario(tmp_path, dict(TINY_SCENARIO, beam={"scheme": "codebook"}))
+    r = runner.invoke(main, ["simulate", scen, "--workers", "1", "--codebook", str(book),
+                             "--out-dir", str(tmp_path / "out")], prog_name="v2ibeam")
+    assert r.exit_code == 2
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert err["error"] == "validation"
+    assert "key 'h' = '7_5'" in err["message"]
+    assert trials == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_rejects_codebook_grid_below_antennas(runner, tmp_path):
     book = tmp_path / "book8.json"
     r = invoke(runner, ["design-codebook", "--antennas", "8", "--rf-chains", "2",

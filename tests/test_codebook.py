@@ -268,7 +268,8 @@ def test_pattern_grid_must_cover_the_antennas():
     (lambda doc: doc["codewords"].pop(), "'codewords'"),
     (lambda doc: doc["resolutions"].append(1), "'resolutions'"),
     (lambda doc: doc.update(Q=5), "'regions'"),
-    (lambda doc: doc["codewords"][1].pop(), r"'codewords'\[1\] has 7 entries, 'M' is 8"),
+    (lambda doc: doc["codewords"][1].pop(),
+     r"'codewords'\[1\] must be a list of 8 \[re, im\] pairs"),
 ], ids=["regions", "codewords", "resolutions", "Q", "codeword_length"])
 def test_load_codebook_rejects_inconsistent_counts(tmp_path, corrupt, field):
     book = build_codebook(GEOM, 8.5, 8, 2, 4, seed=0, workers=1)
@@ -282,25 +283,38 @@ def test_load_codebook_rejects_inconsistent_counts(tmp_path, corrupt, field):
 
 
 @pytest.mark.parametrize("corrupt,field", [
-    (lambda doc: doc.update(N=None), r"'N' must be an integer in 1\.\.8, got None"),
-    (lambda doc: doc.update(N=0), r"'N' must be an integer in 1\.\.8, got 0"),
-    (lambda doc: doc.update(N=9), r"'N' must be an integer in 1\.\.8, got 9"),
-    (lambda doc: doc.update(M="8"), r"'M' must be an integer"),
+    (lambda doc: doc.update(N=None), r"'N' = None: must be an integer in 1\.\.8"),
+    (lambda doc: doc.update(N=0), r"'N' = 0: must be an integer in 1\.\.8"),
+    (lambda doc: doc.update(N=9), r"'N' = 9: must be an integer in 1\.\.8"),
+    (lambda doc: doc.update(M="8"), r"'M' = '8': must be a positive integer"),
     (lambda doc: doc["codewords"][1].__setitem__(3, 0.5), r"'codewords'\[1\] must be a list"),
     (lambda doc: doc["codewords"].__setitem__(2, 0.5), r"'codewords'\[2\] must be a list"),
-    (lambda doc: doc.update(regions=5), r"'regions' must be a list, got 5"),
+    (lambda doc: doc.update(regions=5), r"'regions' = 5: must be a list"),
     (lambda doc: doc["codewords"][1][3].__setitem__(0, "nan"), r"'codewords'\[1\] must be"),
-    (lambda doc: doc["regions"][2].update(nu_ub="inf"), r"'regions'\[2\] must be"),
-    (lambda doc: doc.update(h="-inf"), r"'h' must be a finite number"),
-    (lambda doc: doc.update(resolutions=[4.0]), r"'resolutions' must be positive integers"),
-    (lambda doc: doc.update(l=doc.pop("L") // 2), r"document has unknown keys \['l'\]"),
+    (lambda doc: doc["regions"][2].update(nu_ub="inf"),
+     r"'regions'\[2\] key 'nu_ub' = 'inf': must be a finite number"),
+    (lambda doc: doc.update(h="-inf"), r"'h' = '-inf': must be a finite number"),
+    (lambda doc: doc.update(resolutions=[4.0]),
+     r"'resolutions' = \[4\.0\]: must be a list of positive integers"),
+    (lambda doc: doc.update(l=doc.pop("L") // 2), r"unknown codebook .* keys at top level: l$"),
     (lambda doc: doc.update(width=1.0, note="x"),
-     r"document has unknown keys \['note', 'width'\]"),
+     r"unknown codebook .* keys at top level: note, width$"),
     (lambda doc: doc["regions"][2].update(width="0.1"),
-     r"'regions'\[2\] has unknown keys \['width'\]"),
+     r"unknown codebook .* 'regions'\[2\] keys at entry: width$"),
+    # spellings float() takes but repr() never writes, and bools, which the
+    # scenario and results-CSV readers reject too
+    (lambda doc: doc.update(h="7_5"), r"'h' = '7_5': must be a finite number"),
+    (lambda doc: doc.update(h=" 7.5 "), r"'h' = ' 7\.5 ': must be a finite number"),
+    (lambda doc: doc.update(y_design="+8.5"), r"'y_design' = '\+8\.5': must be a finite number"),
+    (lambda doc: doc["codewords"][1][3].__setitem__(0, "1E-1"), r"'codewords'\[1\] must be"),
+    (lambda doc: doc.update(h=True), r"'h' = True: must be a finite number"),
+    (lambda doc: doc["codewords"][1][3].__setitem__(1, True), r"'codewords'\[1\] must be"),
+    (lambda doc: doc["regions"][0].update(rho_lb="-7_5"),
+     r"'regions'\[0\] key 'rho_lb' = '-7_5': must be a finite number"),
 ], ids=["N_null", "N_zero", "N_above_M", "M_string", "entry_number", "codeword_number",
         "regions_number", "entry_nan", "region_inf", "h_inf", "resolution_float",
-        "L_misspelt", "extra_key", "extra_region_key"])
+        "L_misspelt", "extra_key", "extra_region_key", "h_underscore", "h_spaces",
+        "y_design_plus", "entry_upper_e", "h_bool", "entry_bool", "region_underscore"])
 def test_load_codebook_rejects_malformed_fields(tmp_path, corrupt, field):
     book = build_codebook(GEOM, 8.5, 8, 2, 4, seed=0, workers=1)
     path = tmp_path / "book.json"

@@ -17,10 +17,11 @@ the output digests of each pair are equal, the failed counts, `nproc` and
 the numpy version, and writes the raw runs and that table as JSON to FILE,
 under the workload's name: a FILE that exists keeps its other workloads.
 
-Trees whose `BENCHMARK.json` differ are refused, since their metrics and
-workloads would not compare. Exit codes: 0 when every run gave a result and
-every pair's digests are equal, 1 when some pair's digests differ (FILE is
-still written), 2 when the trees are refused or a run gave no result.
+Trees whose `BENCHMARK.json` or `bench/` (its .py and .json files,
+`bench/out/` aside) differ are refused, since their metrics and workloads
+would not compare. Exit codes: 0 when every run gave a result and every
+pair's digests are equal, 1 when some pair's digests differ (FILE is still
+written), 2 when the trees are refused or a run gave no result.
 """
 
 from __future__ import annotations
@@ -54,12 +55,12 @@ def _registry(tree: str) -> dict:
         return json.load(fh)
 
 
-def _src_digest(tree: str) -> str:
+def _src_digest(tree: str, parts=("src", "bench")) -> str:
     """sha256 over the relative paths and bytes of the .py and .json files
-    under the tree's src/ and bench/ (bench/out/ aside): which code ran,
-    without naming where it sits."""
+    under the tree's `parts` (bench/out/ aside): which code ran, without
+    naming where it sits."""
     h = hashlib.sha256()
-    for part in ("src", "bench"):
+    for part in parts:
         top = os.path.join(tree, part)
         for root, dirs, files in os.walk(top):
             dirs[:] = sorted(d for d in dirs if d not in ("out", "__pycache__"))
@@ -133,6 +134,9 @@ def main(argv=None) -> int:
     registry = _registry(args.base)
     if _registry(args.change) != registry:
         sys.stderr.write("ab: the trees' BENCHMARK.json differ; their runs do not compare\n")
+        return 2
+    if _src_digest(args.base, ("bench",)) != _src_digest(args.change, ("bench",)):
+        sys.stderr.write("ab: the trees' bench/ differ; their runs do not compare\n")
         return 2
     trees = {"base": args.base, "change": args.change}
     runs = {"base": [], "change": []}
