@@ -19,6 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inputs import (_checked, _decibels, _integer_up_to, _nonnegative, _positive,
+                     _positive_integer, _range)
+
 
 @dataclass(frozen=True)
 class RoadGeometry:
@@ -30,12 +33,9 @@ class RoadGeometry:
     range_ub_m: float
 
     def __post_init__(self):
-        if self.rsu_height_m <= 0:
-            raise ValueError("rsu_height_m must be positive")
-        if self.lane_offset_m < 0:
-            raise ValueError("lane_offset_m must be nonnegative")
-        if self.range_lb_m >= self.range_ub_m:
-            raise ValueError("range_lb_m must be below range_ub_m")
+        _checked("RoadGeometry", "rsu_height_m", self.rsu_height_m, _positive)
+        _checked("RoadGeometry", "lane_offset_m", self.lane_offset_m, _nonnegative)
+        _checked("RoadGeometry", "range_m", [self.range_lb_m, self.range_ub_m], _range)
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,10 @@ class ArrayConfig:
     tx_power_mw: float
 
     def __post_init__(self):
-        if self.num_antennas < 1:
-            raise ValueError("num_antennas must be >= 1")
-        if not 1 <= self.num_rf_chains <= self.num_antennas:
-            raise ValueError("num_rf_chains must be in [1, num_antennas]")
-        if self.wavelength_m <= 0:
-            raise ValueError("wavelength_m must be positive")
-        if self.noise_power_mw <= 0:
-            raise ValueError("noise_power_mw must be positive")
+        m = _checked("ArrayConfig", "num_antennas", self.num_antennas, _positive_integer)
+        _checked("ArrayConfig", "num_rf_chains", self.num_rf_chains, _integer_up_to(m))
+        for key in ("wavelength_m", "pathloss_exponent", "noise_power_mw"):
+            _checked("ArrayConfig", key, getattr(self, key), _positive)
 
 
 @dataclass(frozen=True)
@@ -71,8 +67,8 @@ class RicianConfig:
     block_length: int = 1
 
     def __post_init__(self):
-        if self.block_length < 1:
-            raise ValueError("block_length must be >= 1")
+        _checked("RicianConfig", "k_factor_db", self.k_factor_db, _decibels)
+        _checked("RicianConfig", "block_length", self.block_length, _positive_integer)
 
     @property
     def k_linear(self) -> float:

@@ -64,6 +64,13 @@ def _check_out_dir(option: str, path: str | None) -> None:
         raise ValueError(f"{option} {path!r}: {parent!r} is not an existing directory")
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path as UTF-8 and say so on stdout."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    click.echo(f"wrote {path}")
+
+
 @click.group()
 def main():
     """Vehicle tracking and road-aware beamforming simulator for mmWave V2I."""
@@ -168,32 +175,22 @@ def simulate(scenario_ref, trials, seed, horizon, tracker, combiner, tx_power,
     if "csv" in formats:
         for r in results:
             tag = f"_{r.tx_power_dbm:g}dBm" if len(results) > 1 else ""
-            path = os.path.join(out_dir, f"{scenario.name}{tag}_results.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(records_to_csv(r.records))
-            click.echo(f"wrote {path}")
-        spath = os.path.join(out_dir, f"{scenario.name}_summary.csv")
-        with open(spath, "w", encoding="utf-8") as fh:
-            fh.write(summaries_to_csv(summaries))
-        click.echo(f"wrote {spath}")
+            _write(os.path.join(out_dir, f"{scenario.name}{tag}_results.csv"),
+                   records_to_csv(r.records))
+        _write(os.path.join(out_dir, f"{scenario.name}_summary.csv"),
+               summaries_to_csv(summaries))
     if "svg" in formats:
-        chart = {}
         if len(results) > 1:
-            chart["NMSE x"] = [(r.tx_power_dbm, r.summary.nmse_x) for r in results]
-            chart["NMSE v"] = [(r.tx_power_dbm, r.summary.nmse_v) for r in results]
-            doc = svg_line_chart(chart, title=scenario.name,
-                                 x_label="transmit power (dBm)", y_label="NMSE")
+            chart = {"NMSE x": [(r.tx_power_dbm, r.summary.nmse_x) for r in results],
+                     "NMSE v": [(r.tx_power_dbm, r.summary.nmse_v) for r in results]}
+            x_label = "transmit power (dBm)"
         else:
             series = results[0].summary.nmse_x_series
-            chart["NMSE x(t)"] = [
-                (i * scenario.motion.ts, v) for i, v in enumerate(series, start=1)
-            ]
-            doc = svg_line_chart(chart, title=scenario.name,
-                                 x_label="time (s)", y_label="NMSE")
-        gpath = os.path.join(out_dir, f"{scenario.name}_summary.svg")
-        with open(gpath, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-        click.echo(f"wrote {gpath}")
+            chart = {"NMSE x(t)": [(i * scenario.motion.ts, v)
+                                   for i, v in enumerate(series, start=1)]}
+            x_label = "time (s)"
+        _write(os.path.join(out_dir, f"{scenario.name}_summary.svg"),
+               svg_line_chart(chart, title=scenario.name, x_label=x_label, y_label="NMSE"))
     for s in summaries:
         gain = "" if math.isnan(s.mean_gain) else f" gain={s.mean_gain:.4f}"
         rate = "" if math.isnan(s.mean_rate) else f" rate={s.mean_rate:.4f}"
@@ -221,9 +218,7 @@ def track_demo(scenario_ref, steps, seed, every, csv_path):
     scenario = _read_scenario(scenario_ref, {"seed": seed, "horizon": steps})
     records = run_trial(scenario, 0)
     if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(records_to_csv(records))
-        click.echo(f"wrote {csv_path}")
+        _write(csv_path, records_to_csv(records))
         return
     click.echo(f"{'step':>5} {'t[s]':>7} {'x':>9} {'x_hat':>9} "
                f"{'v':>8} {'v_hat':>8} {'alpha_hat':>9}")
@@ -258,21 +253,16 @@ def report(results_csv, label, out, svg_path):
     summary = summarize(records, label, horizon)
     text = summaries_to_csv([summary])
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        click.echo(f"wrote {out}")
+        _write(out, text)
     else:
         click.echo(text, nl=False)
     if svg_path:
-        ts = [i for i in range(1, horizon + 1)]
+        steps = range(1, horizon + 1)
         chart = {
-            "NMSE x(t)": list(zip(ts, summary.nmse_x_series)),
-            "NMSE v(t)": list(zip(ts, summary.nmse_v_series)),
+            "NMSE x(t)": list(zip(steps, summary.nmse_x_series)),
+            "NMSE v(t)": list(zip(steps, summary.nmse_v_series)),
         }
-        doc = svg_line_chart(chart, title=label, x_label="step", y_label="NMSE")
-        with open(svg_path, "w", encoding="utf-8") as fh:
-            fh.write(doc)
-        click.echo(f"wrote {svg_path}")
+        _write(svg_path, svg_line_chart(chart, title=label, x_label="step", y_label="NMSE"))
 
 
 if __name__ == "__main__":

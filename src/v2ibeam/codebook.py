@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_channel import RoadGeometry
-from .inputs import _decimal, _is_integer, _kind, _list, _positive_integer, _Section
+from .inputs import (_decimal, _integer_up_to, _is_integer, _kind, _list, _positive_integer,
+                     _Section)
 from .sounding import SteeringDictionary, orthogonal_matching_pursuit
 
 DEFAULT_GRID = 4096
@@ -548,8 +549,7 @@ def load_codebook(path: str) -> Codebook:
     name = f"codebook {path}"
     top = _Section(doc, name, "top level")
     m = top.take("M", _positive_integer)
-    n = top.take("N", _kind(f"an integer in 1..{m}", lambda value: _is_integer(value)
-                            and 1 <= value <= m))
+    n = top.take("N", _integer_up_to(m))
     q = top.take("Q", _positive_integer)
     grid_size = top.take("L", _positive_integer, DEFAULT_GRID)  # _PatternContext checks L >= M
     y_design = top.take("y_design", _decimal)

@@ -36,9 +36,9 @@ from .array_channel import (
 )
 from .codebook import Codebook, build_codebook, load_codebook, parallel_map, resolve_workers
 from .ekf import StateBelief, Tracker, TrackStep, g_of_state, init_belief, predict
-from .inputs import (_angle, _boolean, _codewords, _count, _decibels, _from_repr, _integer,
-                     _is_integer, _nonnegative, _number, _positive, _powers, _range, _Section,
-                     _string)
+from .inputs import (_angle, _boolean, _checked, _codewords, _count, _decibels, _from_repr,
+                     _integer_up_to, _nonnegative, _number, _one_of, _positive,
+                     _positive_integer, _powers, _range, _Section, _string)
 from .motion import MotionModel, StateVector, step_truth
 from .units import carrier_to_wavelength, dbm_to_mw, kmh_to_ms
 
@@ -76,31 +76,28 @@ class Scenario:
     noise_free: bool
 
     def __post_init__(self):
-        coherence = 1 if self.coherence_steps is None else self.coherence_steps
-        for key, value in [("trials", self.trials), ("omega", self.omega),
-                           ("feedback_period", self.feedback_period),
-                           ("accel_min_step", self.accel_min_step),
-                           ("coherence_steps", coherence)]:
-            if not (_is_integer(value) and value >= 1):
-                raise ValueError(f"{key} must be a positive integer, got {value!r}")
+        kinds = dict(name=_string, sigma_eps=_nonnegative, omega=_positive_integer,
+                     trials=_positive_integer, horizon=_positive_integer, seed=_count,
+                     tracker=_one_of(TRACKERS), combiner_mode=_one_of(COMBINER_MODES),
+                     feedback_period=_positive_integer, accel_min_step=_positive_integer,
+                     alpha_thres=_positive, coherence_steps=_positive_integer,
+                     beam_scheme=_one_of(BEAM_SCHEMES), codebook_path=_string,
+                     noise_free=_boolean)
+        for key, kind in kinds.items():
+            value = getattr(self, key)
+            if not (value is None and key in ("coherence_steps", "codebook_path")):
+                _checked("scenario", key, value, kind)
+        _checked("scenario", "tx_power_dbm", list(self.tx_powers_dbm), _powers)
         if self.horizon < self.omega:
-            raise ValueError("horizon must cover at least one beam period")
-        if self.tracker not in TRACKERS:
-            raise ValueError(f"unknown tracker {self.tracker!r}")
-        if self.beam_scheme not in BEAM_SCHEMES:
-            raise ValueError(f"unknown beam scheme {self.beam_scheme!r}")
+            raise ValueError(f"scenario key 'horizon' = {self.horizon!r}: "
+                             f"must be at least 'omega' = {self.omega!r}")
         if self.beam_scheme == "dft1" and self.omega % 2:
-            raise ValueError(f"beam scheme 'dft1' needs an even omega, got {self.omega}")
-        if self.combiner_mode not in COMBINER_MODES:
-            raise ValueError(f"unknown combiner_mode {self.combiner_mode!r}")
-        if not self.tx_powers_dbm:
-            raise ValueError("tx_powers_dbm needs at least one transmit power")
-        if not all(map(math.isfinite, self.tx_powers_dbm)):
-            raise ValueError(f"tx_power_dbm {list(self.tx_powers_dbm)} must be finite numbers")
+            raise ValueError(f"scenario key 'omega' = {self.omega!r}: "
+                             "must be even for beam scheme 'dft1'")
         labels = [f"{power:g}" for power in self.tx_powers_dbm]  # name rows and files
         if len(set(labels)) < len(labels):
-            raise ValueError(f"tx_power_dbm {list(self.tx_powers_dbm)} repeats a dBm label "
-                             f"({', '.join(labels)}): each power needs its own label")
+            raise ValueError(f"scenario key 'tx_power_dbm' = {list(self.tx_powers_dbm)}: "
+                             f"each power needs its own dBm label, got {', '.join(labels)}")
 
 
 @dataclass(frozen=True)
@@ -315,10 +312,9 @@ def run_trial(
     gain_norm = np.zeros(n)
     rate = np.zeros(n)
     truth = scenario.t0
-    alpha = rng.normal(0.0, scenario.motion.sigma_alpha)
     beam = None
     for k in range(n):
-        if k and k % coherence == 0:
+        if k % coherence == 0:
             alpha = rng.normal(0.0, scenario.motion.sigma_alpha)
         truth = step_truth(rng, scenario.motion, truth, alpha)
         beta = fading.step()
@@ -559,8 +555,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     geo = top.section("geometry", required=True)
     range_lb_m, range_ub_m = geo.take("range_m", _range, (-75.0, 75.0))
     geometry = RoadGeometry(
-        rsu_height_m=geo.take("rsu_height_m", _number, 7.5),
-        lane_offset_m=geo.take("lane_offset_m", _number, 8.5),
+        rsu_height_m=geo.take("rsu_height_m", _positive, 7.5),
+        lane_offset_m=geo.take("lane_offset_m", _nonnegative, 8.5),
         range_lb_m=range_lb_m,
         range_ub_m=range_ub_m,
     )
@@ -568,9 +564,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     bandwidth_hz = arr.take("bandwidth_mhz", _positive, 20.0) * 1e6
     thermal_noise_dbm = -174.0 + 10.0 * math.log10(bandwidth_hz)
     tx_powers_dbm = arr.take("tx_power_dbm", _powers, (10.0,))
+    num_antennas = arr.take("num_antennas", _positive_integer)
     array = ArrayConfig(
-        num_antennas=arr.take("num_antennas", _integer),
-        num_rf_chains=arr.take("num_rf_chains", _integer, 4),
+        num_antennas=num_antennas,
+        num_rf_chains=arr.take("num_rf_chains", _integer_up_to(num_antennas), 4),
         wavelength_m=carrier_to_wavelength(arr.take("carrier_ghz", _positive, 28.0) * 1e9),
         pathloss_exponent=arr.take("pathloss_exponent", _positive, 2.0),
         noise_power_mw=dbm_to_mw(
@@ -596,25 +593,25 @@ def scenario_from_dict(doc: dict) -> Scenario:
     fad = top.section("fading")
     fading = RicianConfig(
         k_factor_db=fad.take("k_factor_db", _decibels, 13.0),
-        block_length=fad.take("block_length", _integer, 1),
+        block_length=fad.take("block_length", _positive_integer, 1),
     )
     trk = top.section("tracking")
     beam = top.section("beam")
     fields = dict(
         name=top.take("name", _string, "scenario"),
         sigma_eps=top.take("sigma_eps", _nonnegative, 0.0),
-        omega=top.take("omega", _integer, 10),
-        trials=top.take("trials", _integer, 1),
-        horizon=top.take("horizon", _integer, 100),
+        omega=top.take("omega", _positive_integer, 10),
+        trials=top.take("trials", _positive_integer, 1),
+        horizon=top.take("horizon", _positive_integer, 100),
         seed=top.take("seed", _count, 0),
         noise_free=top.take("noise_free", _boolean, False),
-        coherence_steps=mot.take("coherence_steps", _integer, None, nullable=True),
-        tracker=trk.take("tracker", _string, "proposed"),
-        combiner_mode=trk.take("combiner_mode", _string, "optimal"),
-        feedback_period=trk.take("feedback_period", _integer, 5),
-        accel_min_step=trk.take("accel_min_step", _integer, 10),
+        coherence_steps=mot.take("coherence_steps", _positive_integer, None, nullable=True),
+        tracker=trk.take("tracker", _one_of(TRACKERS), "proposed"),
+        combiner_mode=trk.take("combiner_mode", _one_of(COMBINER_MODES), "optimal"),
+        feedback_period=trk.take("feedback_period", _positive_integer, 5),
+        accel_min_step=trk.take("accel_min_step", _positive_integer, 10),
         alpha_thres=trk.take("alpha_thres", _positive, 0.03),
-        beam_scheme=beam.take("scheme", _string, "none"),
+        beam_scheme=beam.take("scheme", _one_of(BEAM_SCHEMES), "none"),
         codebook_path=beam.take("codebook_path", _string, None, nullable=True),
         codebook_codewords=beam.take("codewords", _codewords, None, nullable=True),
     )

@@ -4,6 +4,8 @@ A _Section reads one object: take() pops a key and passes its value through a
 kind, which converts it or raises a TypeError saying what the key takes, and
 done() rejects every key left. Messages name the document and the key. A bool
 is never a number, and a number must be finite unless its kind says otherwise.
+The config objects check their fields through the same kinds (_checked), so a
+config built in code holds only what a scenario file can.
 A number written as a string (a codebook float, a results-CSV cell) must be
 spelt as repr() spells its value: not '+1', ' 1', '1_0', '1E2' or '1.50'.
 """
@@ -49,7 +51,6 @@ def _kind(what: str, accepts, convert=lambda value: value):
     return read
 
 
-_integer = _kind("an integer", _is_integer, int)
 _count = _kind("a non-negative integer", lambda value: _is_integer(value) and value >= 0, int)
 _positive_integer = _kind("a positive integer",
                           lambda value: _is_integer(value) and value > 0, int)
@@ -77,6 +78,25 @@ _powers = _kind("a finite number or a non-empty list of finite numbers",
                 lambda value: _is_number(value) or (isinstance(value, list) and len(value) > 0
                                                     and all(map(_is_number, value))),
                 lambda value: tuple(map(float, value if isinstance(value, list) else [value])))
+
+
+def _integer_up_to(limit: int):
+    """The kind of an integer in 1..limit, such as N RF chains of M antennas."""
+    return _kind(f"an integer in 1..{limit}",
+                 lambda value: _is_integer(value) and 1 <= value <= limit, int)
+
+
+def _one_of(options: tuple[str, ...]):
+    """The kind of one of the listed names."""
+    return _kind(f"one of {', '.join(map(repr, options))}", lambda value: value in options)
+
+
+def _checked(document: str, key: str, value, kind):
+    """kind(value), or a ValueError that names the document, key and value."""
+    try:
+        return kind(value)
+    except TypeError as exc:
+        raise ValueError(f"{document} key {key!r} = {value!r}: {exc}") from None
 
 
 def _decimal(value) -> float:
@@ -109,10 +129,7 @@ class _Section:
             if default is _ABSENT:
                 raise ValueError(f"{self.document} key {key!r} is required")
             return default
-        try:
-            return kind(value)
-        except TypeError as exc:
-            raise ValueError(f"{self.document} key {key!r} = {value!r}: {exc}") from None
+        return _checked(self.document, key, value, kind)
 
     def section(self, key: str, required: bool = False) -> _Section:
         part = self.take(key, lambda value: value, _ABSENT if required else {})

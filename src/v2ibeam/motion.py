@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inputs import _angle, _checked, _nonnegative, _positive
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -34,12 +36,9 @@ class MotionModel:
     sigma_omega: float = 0.0
 
     def __post_init__(self):
-        if self.ts <= 0:
-            raise ValueError("ts must be positive")
-        if not -math.pi / 2 <= self.steering_angle <= math.pi / 2:
-            raise ValueError("steering_angle must be in [-pi/2, pi/2]")
-        if self.sigma_alpha < 0 or self.sigma_omega < 0:
-            raise ValueError("noise standard deviations must be nonnegative")
+        for key, kind in [("ts", _positive), ("steering_angle", _angle),
+                          ("sigma_alpha", _nonnegative), ("sigma_omega", _nonnegative)]:
+            _checked("MotionModel", key, getattr(self, key), kind)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -182,3 +183,16 @@ def test_config_validation():
         ArrayConfig(4, 8, 0.01, 2.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         RicianConfig(block_length=0)
+    # what a scenario file cannot hold: a bool, a NaN, a count that is a float
+    for build, message in [
+        (lambda: ArrayConfig(8.0, 2, 0.01, 2.0, 1.0, 1.0), "'num_antennas' = 8.0"),
+        (lambda: ArrayConfig(8, True, 0.01, 2.0, 1.0, 1.0), "'num_rf_chains' = True"),
+        (lambda: ArrayConfig(8, 2, 0.01, math.nan, 1.0, 1.0), "'pathloss_exponent' = nan"),
+        (lambda: RoadGeometry(math.nan, 8.5, -75, 75), "'rsu_height_m' = nan"),
+        (lambda: RoadGeometry(7.5, True, -75, 75), "'lane_offset_m' = True"),
+        (lambda: RoadGeometry(7.5, 8.5, -75, math.nan), "'range_m' = [-75, nan]"),
+        (lambda: RicianConfig(k_factor_db=math.nan), "'k_factor_db' = nan"),
+        (lambda: RicianConfig(block_length=2.0), "'block_length' = 2.0"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()

@@ -123,6 +123,34 @@ def test_simulate_writes_outputs(runner, tmp_path):
     assert "nmse_x=" in r.output
 
 
+def _wrote(output: str) -> list[str]:
+    return [line.removeprefix("wrote ") for line in output.splitlines()
+            if line.startswith("wrote ")]
+
+
+def test_each_written_file_is_named_once(runner, tmp_path):
+    scen = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    r = invoke(runner, ["simulate", scen, "--workers", "1", "--tx-power", "0",
+                        "--tx-power", "20", "--out-dir", str(out),
+                        "--format", "csv", "--format", "svg"])
+    assert r.exit_code == 0, r.output
+    names = ["tiny_0dBm_results.csv", "tiny_20dBm_results.csv", "tiny_summary.csv",
+             "tiny_summary.svg"]
+    assert _wrote(r.output) == [str(out / name) for name in names]
+    assert sorted(p.name for p in out.iterdir()) == names
+    trace = tmp_path / "trace.csv"
+    r = invoke(runner, ["track-demo", "--steps", "10", "--csv", str(trace)])
+    assert r.exit_code == 0, r.output
+    assert _wrote(r.output) == [str(trace)] and trace.exists()
+    summary, svg = tmp_path / "summary.csv", tmp_path / "summary.svg"
+    r = invoke(runner, ["report", str(trace), "--out", str(summary), "--svg", str(svg)])
+    assert r.exit_code == 0, r.output
+    assert _wrote(r.output) == [str(summary), str(svg)]
+    assert summary.read_text().startswith("metric,scenario,value")
+    assert svg.read_text().startswith("<svg")
+
+
 def test_simulate_deterministic_under_seed(runner, tmp_path):
     scen = write_scenario(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

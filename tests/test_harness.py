@@ -256,6 +256,21 @@ def test_scenario_accepts_range_edges(section, key, value):
     ("beam", "codewords", []),
     ("beam", "codewords", [4, 0]),
     ("beam", "codewords", [-2]),
+    (None, "trials", 0),
+    (None, "horizon", 0),
+    (None, "horizon", 4),  # below omega
+    (None, "omega", 0),
+    ("tracking", "feedback_period", 0),
+    ("tracking", "accel_min_step", 0),
+    ("motion", "coherence_steps", 0),
+    ("fading", "block_length", 0),
+    ("array", "num_antennas", 0),
+    ("array", "num_rf_chains", 9),
+    ("geometry", "rsu_height_m", 0),
+    ("geometry", "lane_offset_m", -1),
+    ("tracking", "tracker", "flying"),
+    ("tracking", "combiner_mode", "x"),
+    ("beam", "scheme", "mystery"),
 ])
 def test_scenario_names_a_key_out_of_range(section, key, value):
     with pytest.raises(ValueError, match=re.escape(f"scenario key {key!r} = {value!r}")):

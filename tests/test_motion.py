@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -245,3 +246,13 @@ def test_model_validation():
         MotionModel(ts=0.1, steering_angle=2.0)
     with pytest.raises(ValueError):
         MotionModel(ts=0.1, sigma_alpha=-1.0)
+    # what a scenario file cannot hold: a bool or a NaN
+    for fields, message in [
+        (dict(ts=True), "'ts' = True"),
+        (dict(ts=math.nan), "'ts' = nan"),
+        (dict(ts=0.1, steering_angle=math.nan), "'steering_angle' = nan"),
+        (dict(ts=0.1, sigma_alpha=False), "'sigma_alpha' = False"),
+        (dict(ts=0.1, sigma_omega=math.nan), "'sigma_omega' = nan"),
+    ]:
+        with pytest.raises(ValueError, match=f"MotionModel key {re.escape(message)}"):
+            MotionModel(**fields)
