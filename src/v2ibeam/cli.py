@@ -18,8 +18,7 @@ import numpy as np
 from . import harness as harness_mod
 from .codebook import save_codebook, validate
 from .harness import (
-    bundled_scenario_names,
-    bundled_scenario_path,
+    load_scenario,
     records_from_csv,
     records_to_csv,
     resolve_codebook,
@@ -46,7 +45,7 @@ def guarded(fn):
         try:
             return fn(*args, **kwargs)
         # LinAlgError subclasses ValueError, so it must be matched first
-        except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+        except (np.linalg.LinAlgError, ArithmeticError) as exc:
             _fail(EXIT_NUMERICAL, "numerical", str(exc))
         except (ValueError, FileNotFoundError) as exc:
             _fail(EXIT_VALIDATION, "validation", str(exc))
@@ -116,30 +115,6 @@ def design_codebook(antennas, rf_chains, codewords, lane_offset, rsu_height,
     click.echo(f"gain-pattern peak: {checks['bp_peak']:.6f}")
 
 
-def _read_scenario(ref: str, keys: dict):
-    """The scenario of a file path or a bundled name, read by
-    scenario_from_dict after each of `keys` that was given a value is
-    written into the document: "section.key" names a key of a section."""
-    if not os.path.isfile(ref):
-        try:
-            ref = bundled_scenario_path(ref)
-        except FileNotFoundError:
-            raise ValueError(
-                f"scenario {ref!r} is neither a file nor a bundled name "
-                f"(bundled: {', '.join(bundled_scenario_names())})"
-            ) from None
-    with open(ref, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for key, value in keys.items():
-        section, _, leaf = key.rpartition(".")
-        if value is None or not isinstance(doc, dict):
-            continue  # the reader rejects a document or section that is not an object
-        part = doc.setdefault(section, {}) if section else doc
-        if isinstance(part, dict):
-            part[leaf] = value
-    return scenario_from_dict(doc)
-
-
 @main.command()
 @click.argument("scenario_ref")
 @click.option("--trials", type=int, default=None, help="Override trial count.")
@@ -164,7 +139,7 @@ def _read_scenario(ref: str, keys: dict):
 def simulate(scenario_ref, trials, seed, horizon, tracker, combiner, tx_power,
              codebook_path, out_dir, formats, workers):
     """Run a Monte-Carlo experiment from a scenario file or bundled name."""
-    scenario = _read_scenario(scenario_ref, {
+    scenario = load_scenario(scenario_ref, {
         "trials": trials, "seed": seed, "horizon": horizon,
         "tracking.tracker": tracker, "tracking.combiner_mode": combiner,
         "array.tx_power_dbm": list(tx_power) or None, "beam.codebook_path": codebook_path,
@@ -215,7 +190,7 @@ def track_demo(scenario_ref, steps, seed, every, csv_path):
     if every < 1:
         raise ValueError(f"--every must be >= 1, got {every}")
     _check_out_dir("--csv", csv_path)
-    scenario = _read_scenario(scenario_ref, {"seed": seed, "horizon": steps})
+    scenario = load_scenario(scenario_ref, {"seed": seed, "horizon": steps})
     records = run_trial(scenario, 0)
     if csv_path:
         _write(csv_path, records_to_csv(records))

@@ -28,7 +28,6 @@ from .motion import (
     LongTermAccumulator,
     MotionModel,
     StateVector,
-    process_noise,
     transition_matrices,
 )
 
@@ -67,10 +66,10 @@ def predict(
 ) -> StateBelief:
     """One-step prediction. With an accepted acceleration estimate the mean
     gains b*alpha_hat and the acceleration covariance term is dropped."""
-    a, b, _, q_omega = transition_matrices(model)
+    a, b, q, q_omega = transition_matrices(model)
     if alpha_hat is None:
         mean = a @ belief.mean
-        cov = a @ belief.cov @ a.T + process_noise(model)
+        cov = a @ belief.cov @ a.T + q
     else:
         mean = a @ belief.mean + b * alpha_hat
         cov = a @ belief.cov @ a.T + q_omega

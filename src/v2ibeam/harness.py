@@ -36,8 +36,8 @@ from .array_channel import (
 )
 from .codebook import Codebook, build_codebook, load_codebook, parallel_map, resolve_workers
 from .ekf import StateBelief, Tracker, TrackStep, g_of_state, init_belief, predict
-from .inputs import (_angle, _boolean, _checked, _codewords, _count, _decibels, _from_repr,
-                     _integer_up_to, _nonnegative, _number, _one_of, _positive,
+from .inputs import (_angle, _boolean, _checked, _codewords, _count, _decibels, _file_stem,
+                     _from_repr, _integer_up_to, _nonnegative, _number, _one_of, _positive,
                      _positive_integer, _powers, _range, _Section, _string)
 from .motion import MotionModel, StateVector, step_truth
 from .units import carrier_to_wavelength, dbm_to_mw, kmh_to_ms
@@ -76,7 +76,7 @@ class Scenario:
     noise_free: bool
 
     def __post_init__(self):
-        kinds = dict(name=_string, sigma_eps=_nonnegative, omega=_positive_integer,
+        kinds = dict(name=_file_stem, sigma_eps=_nonnegative, omega=_positive_integer,
                      trials=_positive_integer, horizon=_positive_integer, seed=_count,
                      tracker=_one_of(TRACKERS), combiner_mode=_one_of(COMBINER_MODES),
                      feedback_period=_positive_integer, accel_min_step=_positive_integer,
@@ -352,7 +352,8 @@ def run_trial(
 
 def summarize(records: RecordBlock, scenario_label: str, horizon: int) -> MetricSummary:
     """Aggregate NMSE / gain / rate. Steps whose true denominator is within
-    NMSE_DENOM_FLOOR of zero are excluded (count reported).
+    NMSE_DENOM_FLOOR of zero are excluded (count reported); an NMSE over no
+    counted step is NaN.
 
     Per-step sums accumulate in record order (np.bincount adds its weights
     in input order) and the totals are Python sums over the steps, so the
@@ -372,12 +373,13 @@ def summarize(records: RecordBlock, scenario_label: str, horizon: int) -> Metric
         sums.append(np.bincount(at, weights=sq, minlength=horizon))
         counts.append(np.bincount(at, minlength=horizon))
         excluded.append(len(step) - int(np.count_nonzero(keep)))
-    series = []
+    series, totals = [], []
     for sq, count in zip(sums, counts):
         per_step = np.full(horizon, math.nan)
         np.divide(sq, count, out=per_step, where=count > 0)
         series.append(tuple(per_step.tolist()))
-    totals = [sum(sq.tolist()) / max(sum(count.tolist()), 1) for sq, count in zip(sums, counts)]
+        total = sum(count.tolist())
+        totals.append(sum(sq.tolist()) / total if total else math.nan)
     beam = records.has_beam
     gains, rates = records.columns["gain_norm"][beam], records.columns["rate_bps_hz"][beam]
     return MetricSummary(
@@ -598,7 +600,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     trk = top.section("tracking")
     beam = top.section("beam")
     fields = dict(
-        name=top.take("name", _string, "scenario"),
+        name=top.take("name", _file_stem, "scenario"),
         sigma_eps=top.take("sigma_eps", _nonnegative, 0.0),
         omega=top.take("omega", _positive_integer, 10),
         trials=top.take("trials", _positive_integer, 1),
@@ -621,9 +623,27 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     tx_powers_dbm=tx_powers_dbm, **fields)
 
 
-def load_scenario(path: str) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
+def load_scenario(ref: str, keys: dict | None = None) -> Scenario:
+    """The scenario of a file path or a bundled name, read by
+    scenario_from_dict after each of `keys` that was given a value is
+    written into the document: "section.key" names a key of a section."""
+    if not os.path.isfile(ref):
+        try:
+            ref = bundled_scenario_path(ref)
+        except FileNotFoundError:
+            raise ValueError(
+                f"scenario {ref!r} is neither a file nor a bundled name "
+                f"(bundled: {', '.join(bundled_scenario_names())})"
+            ) from None
+    with open(ref, encoding="utf-8") as fh:
         doc = json.load(fh)
+    for key, value in (keys or {}).items():
+        section, _, leaf = key.rpartition(".")
+        if value is None or not isinstance(doc, dict):
+            continue  # the reader rejects a document or section that is not an object
+        part = doc.setdefault(section, {}) if section else doc
+        if isinstance(part, dict):
+            part[leaf] = value
     return scenario_from_dict(doc)
 
 

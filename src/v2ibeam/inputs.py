@@ -63,6 +63,10 @@ _positive = _kind("a finite positive number",
                   lambda value: _is_number(value) and value > 0, float)
 _boolean = _kind("true or false", lambda value: isinstance(value, bool))
 _string = _kind("a string", lambda value: isinstance(value, str))
+# a scenario name is the stem of the files simulate writes
+_file_stem = _kind("a non-empty string without /, \\ or NUL",
+                   lambda value: isinstance(value, str) and value != ""
+                   and not any(c in value for c in "/\\\0"))
 _list = _kind("a list", lambda value: isinstance(value, list))
 _codewords = _kind("a non-empty list of even integers >= 2",
                    lambda value: isinstance(value, list) and len(value) > 0

@@ -52,7 +52,8 @@ class LongTermTransition:
 
 @functools.lru_cache(maxsize=64)
 def transition_matrices(model: MotionModel):
-    """Return (A, b, Q_alpha, Q_omega) for one step.
+    """Return (A, b, Q_alpha + Q_omega, Q_omega) for one step: the
+    prediction noise before and after the acceleration is known.
 
     A is unit-diagonal upper triangular with A[0,2] = T_s cos(phi_s) and
     A[1,2] = T_s sin(phi_s); b = [T_s^2 cos(phi_s)/2, T_s^2 sin(phi_s)/2, T_s];
@@ -71,9 +72,10 @@ def transition_matrices(model: MotionModel):
             model.sigma_omega**2,
         ]
     )
-    for arr in (a, b, q_alpha, q_omega):
+    q = q_alpha + q_omega
+    for arr in (a, b, q, q_omega):
         arr.setflags(write=False)
-    return a, b, q_alpha, q_omega
+    return a, b, q, q_omega
 
 
 @functools.lru_cache(maxsize=64)
@@ -82,16 +84,6 @@ def _truth_coefficients(model: MotionModel) -> tuple[float, ...]:
     a, b, _, q_omega = transition_matrices(model)
     return (float(a[0, 2]), float(a[1, 2]), *b.tolist(),
             *np.sqrt(np.diag(q_omega)).tolist())
-
-
-@functools.lru_cache(maxsize=64)
-def process_noise(model: MotionModel) -> np.ndarray:
-    """Q_alpha + Q_omega, the prediction noise before the acceleration is
-    known; cached per model and read-only like transition_matrices."""
-    _, _, q_alpha, q_omega = transition_matrices(model)
-    q = q_alpha + q_omega
-    q.setflags(write=False)
-    return q
 
 
 def step_truth(

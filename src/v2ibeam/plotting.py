@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+# with quote=False, the bytes of xml.sax.saxutils.escape without its urllib import
+from html import escape
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 _W, _H = 640, 400
@@ -51,7 +53,7 @@ def svg_line_chart(
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.1f}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        f'font-family="sans-serif" font-size="14">{escape(title, quote=False)}</text>',
     ]
     for tick in _ticks(x_lo, x_hi):
         x = px(tick)
@@ -95,16 +97,16 @@ def svg_line_chart(
         )
         out.append(
             f'<text x="{_W - _MR - 90}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{name}</text>'
+            f'font-size="11">{escape(name, quote=False)}</text>'
         )
     out.append(
         f'<text x="{_W / 2:.1f}" y="{_H - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>'
+        f'font-family="sans-serif" font-size="12">{escape(x_label, quote=False)}</text>'
     )
     out.append(
         f'<text x="14" y="{_H / 2:.1f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 14 {_H / 2:.1f})">{y_label}</text>'
+        f'transform="rotate(-90 14 {_H / 2:.1f})">{escape(y_label, quote=False)}</text>'
     )
     out.append("</svg>")
     return "\n".join(out) + "\n"

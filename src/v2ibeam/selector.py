@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_channel import array_response, spatial_frequency
+from .array_channel import spatial_frequency
 from .codebook import Codebook, Codeword, psi_grid
-from .ekf import StateBelief, predict
+from .ekf import StateBelief, g_of_state, predict
 from .motion import MotionModel
+from .sounding import dft_manifold_combiner
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ def dft_beam(psi: float, num_antennas: int) -> tuple[int, np.ndarray]:
     step = 2.0 * math.pi / num_antennas
     k = round((psi + math.pi) / step)
     psi_q = -math.pi + k * step
-    return k % num_antennas, array_response(num_antennas, psi_q) / math.sqrt(num_antennas)
+    return k % num_antennas, dft_manifold_combiner(psi_q, num_antennas).z
 
 
 def dft_midpoint_direction(
@@ -120,4 +121,4 @@ def dft_midpoint_direction(
     if omega < 2 or omega % 2:
         raise ValueError("scheme 1 needs an even omega")
     mid_state = extrapolate(belief, model, alpha_hat, omega // 2)[-1][0]
-    return spatial_frequency(float(mid_state[0]), float(mid_state[1]), h)
+    return g_of_state(mid_state, h)

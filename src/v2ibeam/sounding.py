@@ -100,6 +100,11 @@ def optimal_combiner(
     return Combiner(z=h_dot / norm)
 
 
+def _check_chains(num_rf_chains: int, num_antennas: int) -> None:
+    if not 1 <= num_rf_chains <= num_antennas:
+        raise ValueError(f"num_rf_chains must be in 1..{num_antennas}, got {num_rf_chains}")
+
+
 def orthogonal_matching_pursuit(
     targets: np.ndarray, dictionary: SteeringDictionary, num_rf_chains: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -119,10 +124,7 @@ def orthogonal_matching_pursuit(
     (_pursue_one), which must keep this kernel's bits.
     """
     rows, m = targets.shape
-    if num_rf_chains < 1:
-        raise ValueError("num_rf_chains must be >= 1")
-    if num_rf_chains > m:
-        raise ValueError("num_rf_chains cannot exceed the antenna count")
+    _check_chains(num_rf_chains, m)
     atom_rows, sign = dictionary.atom_rows, dictionary.sign
     size = atom_rows.shape[0]
     row_index = np.arange(rows)[:, None]
@@ -162,10 +164,7 @@ def _pursue_one(
     FFTs at B = 1.
     """
     m = target.shape[0]
-    if num_rf_chains < 1:
-        raise ValueError("num_rf_chains must be >= 1")
-    if num_rf_chains > m:
-        raise ValueError("num_rf_chains cannot exceed the antenna count")
+    _check_chains(num_rf_chains, m)
     atom_rows, sign = dictionary.atom_rows, dictionary.sign
     size = atom_rows.shape[0]
     residual = target.astype(complex)

@@ -359,6 +359,24 @@ def test_an_option_leaves_a_part_that_is_not_an_object_to_the_reader(runner, tmp
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["../escaped", "sub/dir", "a\\b", ""])
+def test_simulate_refuses_a_name_that_is_no_file_stem(runner, tmp_path, monkeypatch, name):
+    import v2ibeam.cli as cli_mod
+
+    calls = []
+    monkeypatch.setattr(cli_mod, "run_experiment", lambda *a, **k: calls.append(a))
+    (tmp_path / "in").mkdir()
+    scen = write_scenario(tmp_path / "in", dict(TINY_SCENARIO, name=name))
+    out = tmp_path / "out"
+    r = runner.invoke(main, ["simulate", scen, "--workers", "1", "--out-dir", str(out)],
+                      prog_name="v2ibeam")
+    assert r.exit_code == 2, r.output
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert err["message"].startswith(f"scenario key 'name' = {name!r}: must be")
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+
 def test_simulate_options_match_the_scenario_keys_they_set(runner, tmp_path):
     doc = json.loads(json.dumps(TINY_SCENARIO))
     doc.update(seed=7, trials=2, horizon=30)
@@ -575,6 +593,15 @@ def test_numerical_failure_exits_3(runner, tmp_path, monkeypatch):
     r = runner.invoke(main, ["simulate", scen, "--workers", "1",
                              "--out-dir", str(tmp_path)], prog_name="v2ibeam")
     assert r.exit_code == 3
+    err = json.loads(r.stderr.strip().splitlines()[-1])
+    assert err["error"] == "numerical"
+
+
+def test_a_division_by_zero_exits_3(runner, tmp_path):
+    doc = dict(TINY_SCENARIO, motion=dict(TINY_SCENARIO["motion"], ts_ms=1e-300))
+    r = runner.invoke(main, ["simulate", write_scenario(tmp_path, doc), "--workers", "1",
+                             "--out-dir", str(tmp_path / "out")], prog_name="v2ibeam")
+    assert r.exit_code == 3, r.output
     err = json.loads(r.stderr.strip().splitlines()[-1])
     assert err["error"] == "numerical"
 

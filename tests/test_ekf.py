@@ -70,23 +70,24 @@ def test_init_belief_rank_one_structure():
 
 def test_predict_covariance_decomposition():
     model = MotionModel(ts=0.01, steering_angle=0.1, sigma_alpha=1.5, sigma_omega=0.3)
-    a, b, q_alpha, q_omega = transition_matrices(model)
+    a, b, _, q_omega = transition_matrices(model)
     belief = StateBelief(mean=np.array([1.0, 2.0, 3.0]), cov=np.diag([1.0, 2.0, 0.5]))
     pred = predict(belief, model)
     np.testing.assert_allclose(pred.mean, a @ belief.mean)
     np.testing.assert_allclose(
-        pred.cov - a @ belief.cov @ a.T, q_alpha + q_omega, atol=1e-15
+        pred.cov - a @ belief.cov @ a.T, 1.5**2 * np.outer(b, b) + q_omega, atol=1e-15
     )
     assert np.trace(pred.cov) > np.trace(a @ belief.cov @ a.T)
 
 
 def test_predict_branch_difference_is_q_alpha():
     model = MotionModel(ts=0.01, steering_angle=0.1, sigma_alpha=1.5, sigma_omega=0.3)
-    a, b, q_alpha, _ = transition_matrices(model)
+    a, b, _, _ = transition_matrices(model)
     belief = StateBelief(mean=np.array([1.0, 2.0, 3.0]), cov=np.eye(3))
     without = predict(belief, model)
     with_alpha = predict(belief, model, alpha_hat=0.7)
-    np.testing.assert_allclose(without.cov - with_alpha.cov, q_alpha, atol=1e-15)
+    np.testing.assert_allclose(without.cov - with_alpha.cov, 1.5**2 * np.outer(b, b),
+                               atol=1e-15)
     np.testing.assert_allclose(with_alpha.mean - without.mean, b * 0.7)
 
 

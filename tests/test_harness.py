@@ -271,6 +271,12 @@ def test_scenario_accepts_range_edges(section, key, value):
     ("tracking", "tracker", "flying"),
     ("tracking", "combiner_mode", "x"),
     ("beam", "scheme", "mystery"),
+    # the name is the stem of the files simulate writes
+    (None, "name", "../x"),
+    (None, "name", "a/b"),
+    (None, "name", "a\\b"),
+    (None, "name", "a\x00b"),
+    (None, "name", ""),
 ])
 def test_scenario_names_a_key_out_of_range(section, key, value):
     with pytest.raises(ValueError, match=re.escape(f"scenario key {key!r} = {value!r}")):
@@ -289,6 +295,11 @@ def test_scenario_rejects_bad_coherence_steps(value):
 def test_scenario_accepts_coherence_steps(value):
     s = scenario_from_dict(_doc_with("motion", "coherence_steps", value))
     assert s.coherence_steps == value
+
+
+def test_scenario_object_refuses_a_name_that_is_no_file_stem():
+    with pytest.raises(ValueError, match=re.escape("scenario key 'name' = '../x'")):
+        small_scenario(name="../x")
 
 
 def test_bundled_scenarios_load():
@@ -547,8 +558,8 @@ def _summarize_per_record(records, scenario_label, horizon):
     series_v = tuple(s / c if c else math.nan for s, c in zip(sq_v, n_v))
     return harness.MetricSummary(
         scenario=scenario_label,
-        nmse_x=sum(sq_x) / max(sum(n_x), 1),
-        nmse_v=sum(sq_v) / max(sum(n_v), 1),
+        nmse_x=sum(sq_x) / sum(n_x) if sum(n_x) else math.nan,
+        nmse_v=sum(sq_v) / sum(n_v) if sum(n_v) else math.nan,
         mean_gain=float(np.mean(gains)) if gains else math.nan,
         mean_rate=float(np.mean(rates)) if rates else math.nan,
         excluded_x=excl_x,
@@ -602,6 +613,17 @@ def test_summarize_rejects_a_step_outside_the_horizon(step):
                        block.has_beam)
     with pytest.raises(ValueError, match=r"1\.\.2"):
         summarize(rows, "t", 2)
+
+
+def test_an_nmse_over_no_counted_step_is_nan():
+    """A vehicle at rest has every speed within NMSE_DENOM_FLOOR of zero, so
+    no step counts towards NMSE_v: the mean of nothing is NaN, not 0."""
+    rows = [TrialRecord(0, step, 0.01 * step, -50.0, 8.5, 0.1, -50.5, 8.5, 0.2,
+                        None, None, None, None) for step in (1, 2)]
+    summary = summarize(_block(rows), "rest", 2)
+    assert math.isnan(summary.nmse_v) and summary.excluded_v == 2
+    assert summary.nmse_x == (0.5 / 50.0) ** 2 and summary.excluded_x == 0
+    assert "nmse_v,rest,nan" in summaries_to_csv([summary]).splitlines()
 
 
 def test_summary_csv_schema():

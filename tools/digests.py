@@ -25,7 +25,8 @@ checkouts and diff the outputs to check that a change keeps every byte:
 
 After printing, it exits 1 and names the files on stderr when a file under
 workers1/ and the same file under workers2/ differ: the outputs must not
-depend on the worker count.
+depend on the worker count. It does the same when an SVG it wrote is not
+well-formed XML (xml.etree cannot parse it).
 
 It needs only the package's own dependencies and takes about 40 s on a
 2-core x86-64 VM, most of it fitting the gain_m64* scenarios' codebooks.
@@ -39,6 +40,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from xml.etree import ElementTree
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SRC = os.path.join(ROOT, "src")
@@ -75,7 +77,7 @@ def main() -> None:
     args = parser.parse_args()
     scenario_dir = os.path.join(args.src, "v2ibeam", "scenarios")
     scenarios = sorted(name[:-5] for name in os.listdir(scenario_dir) if name.endswith(".json"))
-    digests = {}
+    digests, malformed = {}, []
     with tempfile.TemporaryDirectory() as tmp:
         for workers in WORKERS:
             out = os.path.join(tmp, f"workers{workers}")
@@ -111,6 +113,11 @@ def main() -> None:
                 path = os.path.join(root, name)
                 with open(path, "rb") as fh:
                     digests[os.path.relpath(path, tmp)] = hashlib.sha256(fh.read()).hexdigest()
+                if name.endswith(".svg"):
+                    try:
+                        ElementTree.parse(path)
+                    except ElementTree.ParseError as exc:
+                        malformed.append(f"{os.path.relpath(path, tmp)} ({exc})")
     for name, digest in digests.items():
         print(f"{digest}  {name}")
     first, second = (f"workers{w}{os.sep}" for w in WORKERS)
@@ -118,6 +125,9 @@ def main() -> None:
     differ = sorted(name for name in names if digests.get(first + name) != digests.get(second + name))
     if differ:
         sys.stderr.write(f"{first} and {second} differ: {', '.join(differ)}\n")
+    if malformed:
+        sys.stderr.write(f"not well-formed SVG: {', '.join(malformed)}\n")
+    if differ or malformed:
         sys.exit(1)
 
 
